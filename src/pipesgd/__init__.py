@@ -7,10 +7,9 @@ loop.  Results are bit-identical to the bundled single-process reference
 optimizer regardless of world size, transport, or message timing.
 """
 
-from .buffers import Gradient, LayerShape, Model, buffer_axpy, derived_seed, seeded_fill
+from .buffers import Model, buffer_axpy, derived_seed, seeded_fill
 from .engine import (
-    BarrierRank,
-    PipelinedRank,
+    Rank,
     RankResult,
     TrainConfig,
     load_model,
@@ -59,7 +58,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierRank",
     "BenchOptions",
     "BenchReport",
     "CONTROL_SEGMENT",
@@ -67,17 +65,15 @@ __all__ = [
     "Dataset",
     "DenseLayerSpec",
     "FormatError",
-    "Gradient",
     "InprocTransport",
     "InprocWorld",
     "InputError",
     "LatencyModel",
-    "LayerShape",
     "Model",
-    "PipelinedRank",
     "PipesgdError",
     "ProtocolError",
     "RangeError",
+    "Rank",
     "RankResult",
     "Recorder",
     "RoutingError",

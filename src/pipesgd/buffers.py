@@ -8,7 +8,7 @@ two processes that fill a buffer from the same seed hold identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,14 +74,6 @@ def buffer_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class LayerShape:
-    """Position and flat size of one layer inside a model."""
-
-    layer_index: int
-    param_count: int
-
-
 @dataclass
 class Model:
     """Per-layer flat parameter buffers plus the iteration that produced them."""
@@ -91,15 +83,3 @@ class Model:
 
     def copy(self) -> "Model":
         return Model([np.array(l, dtype=np.float64) for l in self.layers], self.iteration)
-
-    def shapes(self) -> list[LayerShape]:
-        return [LayerShape(i, len(l)) for i, l in enumerate(self.layers)]
-
-
-@dataclass
-class Gradient:
-    """Per-layer flat gradient buffers tagged with their producing rank."""
-
-    layers: list[np.ndarray]
-    rank: int = 0
-    iteration: int = 0

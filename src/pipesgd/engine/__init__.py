@@ -1,16 +1,14 @@
-"""Training engine: turn-based pipelined SGD and its barrier baseline."""
+"""Training engine: one turn-based rank runs both the pipelined schedule
+and its barrier baseline, which differ only in transfer units and fences."""
 
-from .barrier import BarrierRank
 from .checkpoint import load_model, load_model_bytes, save_model, serialize_model
 from .config import TrainConfig
 from .layout import SEG_GRAD, SEG_MODEL, SEG_WORK, SegmentLayout
-from .pipelined import PipelinedRank
-from .runtime import RankResult
+from .runtime import Rank, RankResult
 from .sgd import batch_indices, master_update, sequential_sgd, tree_reduce
 
 __all__ = [
-    "BarrierRank",
-    "PipelinedRank",
+    "Rank",
     "RankResult",
     "SEG_GRAD",
     "SEG_MODEL",

@@ -9,6 +9,12 @@ from ..net import DenseLayerSpec, specs_from_dims
 
 PATTERNS = ("pipelined", "barrier")
 
+# Notification values travel in a u32 wire field.  Engine values reach
+# `iterations`; the tcp barrier's sequence number reaches 2*iterations + 2
+# under the barrier pattern (one rendezvous, two fences per iteration, one
+# teardown hold), which must stay below 2**32.
+MAX_ITERATIONS = 2**31 - 2
+
 
 @dataclass
 class TrainConfig:
@@ -43,8 +49,10 @@ class TrainConfig:
             raise ConfigError(f"layer widths must be positive, got {self.layer_dims}")
         if self.world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {self.world_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ConfigError(
+                f"iterations must be in [1, {MAX_ITERATIONS}], got {self.iterations}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.batch_size % self.world_size != 0:

@@ -19,9 +19,11 @@ base id is carried by the final chunk, base+1+j by earlier chunk j.  The
 receiver counts consumed ids per block, so completion detection tolerates
 any inter-chunk delivery order.  Id 0 is never assigned.
 
-Keeping per-(child, parity) layer slots contiguous lets the barrier
-baseline move whole models as single bulk transfers over the same slots;
-bulk transfers get their own id blocks after the per-layer ones.
+The layout's "layers" are the engine's transfer units: contiguous layer
+ranges that move as one transfer.  The engine builds the layout with one
+entry per unit - one per layer under the pipelined schedule, a single
+whole-model entry under the barrier baseline - so a rank's id space holds
+only its own schedule's blocks.
 """
 
 from __future__ import annotations
@@ -60,10 +62,8 @@ class SegmentLayout:
         self.total_bytes = off
         self.layer_chunks = [_ceil_div(b, chunk_bytes) for b in self.layer_bytes]
         self.max_chunks = max(self.layer_chunks)
-        self.bulk_chunks = _ceil_div(self.total_bytes, chunk_bytes)
         # Fixed-width id blocks: one per (transfer target, parity).
         self._layer_block = self.max_chunks + 1
-        self._bulk_block = self.bulk_chunks + 1
 
     def chunk_count(self, nbytes: int) -> int:
         return _ceil_div(nbytes, self.chunk_bytes)
@@ -89,18 +89,12 @@ class SegmentLayout:
     def model_slot_offset(self, layer: int, parity: int) -> int:
         return parity * self.total_bytes + self.layer_offsets[layer]
 
-    def model_bulk_offset(self, parity: int) -> int:
-        return parity * self.total_bytes
-
     def model_notif_base(self, layer: int, parity: int) -> int:
         return 1 + (layer * 2 + parity) * self._layer_block
 
-    def model_bulk_base(self, parity: int) -> int:
-        return 1 + self.num_layers * 2 * self._layer_block + parity * self._bulk_block
-
     @property
     def model_notif_count(self) -> int:
-        return 1 + self.num_layers * 2 * self._layer_block + 2 * self._bulk_block
+        return 1 + self.num_layers * 2 * self._layer_block
 
     # SEG_GRAD ------------------------------------------------------------
 
@@ -110,20 +104,12 @@ class SegmentLayout:
     def grad_slot_offset(self, child_slot: int, layer: int, parity: int) -> int:
         return (child_slot * 2 + parity) * self.total_bytes + self.layer_offsets[layer]
 
-    def grad_bulk_offset(self, child_slot: int, parity: int) -> int:
-        return (child_slot * 2 + parity) * self.total_bytes
-
     def grad_notif_base(self, child_slot: int, layer: int, parity: int) -> int:
         per_child = self.num_layers * 2 * self._layer_block
         return 1 + child_slot * per_child + (layer * 2 + parity) * self._layer_block
 
-    def grad_bulk_base(self, num_children: int, child_slot: int, parity: int) -> int:
-        layer_ids = num_children * self.num_layers * 2 * self._layer_block
-        return 1 + layer_ids + (child_slot * 2 + parity) * self._bulk_block
-
     def grad_notif_count(self, num_children: int) -> int:
-        n = max(1, num_children)
-        return 1 + n * self.num_layers * 2 * self._layer_block + n * 2 * self._bulk_block
+        return 1 + max(1, num_children) * self.num_layers * 2 * self._layer_block
 
     # Chunk ids -----------------------------------------------------------
 

@@ -1,28 +1,61 @@
-"""Shared per-rank machinery for the distributed training patterns.
+"""Turn-based data-parallel SGD for both communication schedules.
 
 A rank owns three segments (see :mod:`.layout`), works on float64 views
-into them, and talks to its reduction/broadcast tree neighbours through
-one-sided notify-writes.  Subclasses implement one training iteration;
-everything here - segment setup, chunked transfers, notification decoding,
-flight timing, result collection - is pattern independent.
+into them, and talks to its tree neighbours through one-sided
+notify-writes.  Model and gradient move in *transfer units*: contiguous
+``[first, stop)`` layer ranges fixed by the configured pattern.  The
+pipelined schedule moves one unit per layer; the barrier baseline moves
+one whole-model unit.
+
+The backward pass emits layer gradients from the output layer down.  A
+unit is published on the *turn* that emits its lowest layer: the rank
+publishes its local gradient for the unit and then does whatever
+communication has become possible, without waiting for anything:
+
+  * child contributions that finished arriving are folded into the local
+    gradient, in ascending child order (sequentially gated, so the float
+    summation order is identical on every run and equal to the reference
+    optimizer's),
+  * a unit whose children are all folded is forwarded up the reduction
+    tree - or, on the master, applied via the update rule and broadcast
+    back down,
+  * freshly arrived model units are installed and forwarded to broadcast
+    children.
+
+After the last turn the rank keeps polling until every unit's gradient
+went up and every updated unit came back.  Under the pipelined schedule
+no barrier runs anywhere in or between iterations; iteration parity keeps
+the at-most-two in-flight iterations apart (receive slots and
+notification ids are double-buffered, and notification values carry
+iteration+1 so early traffic from the next iteration is recognized and
+left pending).  The barrier baseline adds exactly two fences per
+iteration: one before its whole-model unit is published and one after
+the iteration's traffic is done.  Those two barrier calls are the
+synchronization the pipelined schedule exists to avoid.
+
+Weight buffers are safe to overwrite mid-backward because an updated
+unit can only arrive after this rank contributed its own gradient for
+it, and the backward pass reads the unit's old weights for the last time
+while producing exactly that gradient.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..buffers import Model
+from .. import net
+from ..buffers import buffer_axpy
 from ..errors import ConfigError, ProtocolError
-from ..net import init_model
 from ..timeline import Recorder, TimelineEvent
-from ..topology import build_broadcast_tree, build_reduction_tree
+from ..topology import build_reduction_tree
 from ..transport.base import TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_GRAD, SEG_MODEL, SEG_WORK, SegmentLayout
-from .sgd import batch_indices, shard_bounds
+from .sgd import batch_indices, master_update, shard_bounds
 
 _IDLE_SLEEP_S = 2e-5
 
@@ -43,23 +76,25 @@ class RankResult:
 
 
 class TurnState:
-    """Communication bookkeeping for one in-flight iteration."""
+    """Communication bookkeeping for one in-flight iteration, per unit."""
 
-    def __init__(self, num_layers: int, num_children: int):
-        self.local_gradient_ready = [False] * num_layers
-        self.gradient_forwarded = [False] * num_layers
-        self.model_arrived = [False] * num_layers
-        # child slots whose layer contribution has fully arrived
-        self.child_arrived: list[set[int]] = [set() for _ in range(num_layers)]
-        # how many child slots have been folded, per layer; folds happen in
+    def __init__(self, num_units: int, num_children: int):
+        self.local_gradient_ready = [False] * num_units
+        self.gradient_forwarded = [False] * num_units
+        self.model_arrived = [False] * num_units
+        # child slots whose unit contribution has fully arrived
+        self.child_arrived: list[set[int]] = [set() for _ in range(num_units)]
+        # how many child slots have been folded, per unit; folds happen in
         # ascending slot order so the float summation order is fixed
-        self.next_fold = [0] * num_layers
+        self.next_fold = [0] * num_units
         self.num_children = num_children
         # consumed notification count per transfer key
         self.chunks: dict[tuple, int] = {}
 
 
-class RankBase:
+class Rank:
+    """One rank's training loop; ``config.pattern`` picks its units and fences."""
+
     def __init__(
         self,
         config: TrainConfig,
@@ -79,44 +114,47 @@ class RankBase:
         self.rank = transport.rank
         self.specs = config.specs()
         self.num_layers = len(self.specs)
-        self.layout = SegmentLayout([s.param_count for s in self.specs], config.chunk_bytes)
-
-        red = build_reduction_tree(config.world_size)
-        bc = build_broadcast_tree(config.world_size)
-        self.red_children = red.children[self.rank]
-        self.red_parent = red.parent.get(self.rank)
-        self.bc_children = bc.children[self.rank]
-        self.bc_parent = bc.parent.get(self.rank)
-        self.is_master = self.rank == 0
-        # this rank's slot index in its reduction parent's child list
-        self.parent_slot = (
-            None if self.red_parent is None else red.children[self.red_parent].index(self.rank)
+        if config.pattern == "pipelined":
+            self.units = [(l, l + 1) for l in range(self.num_layers)]
+        else:
+            self.units = [(0, self.num_layers)]
+        self._fenced = config.pattern == "barrier"
+        # a unit is published when its lowest layer's gradient is emitted
+        self._unit_at = {first: u for u, (first, _) in enumerate(self.units)}
+        # timeline layer index of a unit's spans; -1 marks a multi-layer unit
+        self._labels = [first if stop - first == 1 else -1 for first, stop in self.units]
+        bounds = list(itertools.accumulate((s.param_count for s in self.specs), initial=0))
+        self.layout = SegmentLayout(
+            [bounds[stop] - bounds[first] for first, stop in self.units], config.chunk_bytes
         )
-        # needed to address id blocks inside the parent's gradient segment
-        self.parent_child_count = (
-            0 if self.red_parent is None else len(red.children[self.red_parent])
+
+        tree = build_reduction_tree(config.world_size)
+        self.children = tree.children[self.rank]
+        self.parent = tree.parent.get(self.rank)
+        self.is_master = self.rank == 0
+        # this rank's slot index in its parent's child list
+        self.parent_slot = (
+            None if self.parent is None else tree.children[self.parent].index(self.rank)
         )
 
         lay = self.layout
         self.seg_work = transport.segment_create(SEG_WORK, lay.work_size, 1)
-        self.seg_model = transport.segment_create(SEG_MODEL, lay.model_rx_size, lay.model_notif_count)
-        nc = len(self.red_children)
+        self.seg_model = transport.segment_create(
+            SEG_MODEL, lay.model_rx_size, lay.model_notif_count
+        )
+        nc = len(self.children)
         self.seg_grad = transport.segment_create(
             SEG_GRAD, lay.grad_rx_size(nc), lay.grad_notif_count(nc)
         )
 
-        self.model_views = [
-            self.seg_work.view_f64(lay.work_model_offset(l), self.specs[l].param_count)
-            for l in range(self.num_layers)
-        ]
-        self.grad_views = [
-            self.seg_work.view_f64(lay.work_grad_offset(l), self.specs[l].param_count)
-            for l in range(self.num_layers)
-        ]
-        self.model_region = self.seg_work.view_f64(0, lay.total_params)
-        self.grad_region = self.seg_work.view_f64(lay.total_bytes, lay.total_params)
+        model_region = self.seg_work.view_f64(0, lay.total_params)
+        grad_region = self.seg_work.view_f64(lay.total_bytes, lay.total_params)
+        self.model_views = [model_region[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.grad_views = [grad_region[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.unit_model_views = [model_region[bounds[a]:bounds[b]] for a, b in self.units]
+        self.unit_grad_views = [grad_region[bounds[a]:bounds[b]] for a, b in self.units]
 
-        start = init_model(config.seed, self.specs)
+        start = net.init_model(config.seed, self.specs)
         for l in range(self.num_layers):
             self.model_views[l][:] = start.layers[l]
 
@@ -131,48 +169,32 @@ class RankBase:
     # Notification decoding ------------------------------------------------
 
     def _build_decoders(self, num_children: int) -> None:
+        """Map every notification id to (child slot, unit, parity)."""
         lay = self.layout
         block = lay._layer_block
-        bulk = lay._bulk_block
         self._grad_ids: dict[int, tuple] = {}
-        for slot in range(num_children):
-            for p in (0, 1):
-                for l in range(lay.num_layers):
-                    base = lay.grad_notif_base(slot, l, p)
-                    for nid in range(base, base + block):
-                        self._grad_ids[nid] = ("layer", slot, l, p)
-                bbase = lay.grad_bulk_base(num_children, slot, p)
-                for nid in range(bbase, bbase + bulk):
-                    self._grad_ids[nid] = ("bulk", slot, None, p)
         self._model_ids: dict[int, tuple] = {}
-        for p in (0, 1):
-            for l in range(lay.num_layers):
-                base = lay.model_notif_base(l, p)
+        for u in range(lay.num_layers):
+            for p in (0, 1):
+                for slot in range(num_children):
+                    base = lay.grad_notif_base(slot, u, p)
+                    for nid in range(base, base + block):
+                        self._grad_ids[nid] = (slot, u, p)
+                base = lay.model_notif_base(u, p)
                 for nid in range(base, base + block):
-                    self._model_ids[nid] = ("layer", None, l, p)
-            bbase = lay.model_bulk_base(p)
-            for nid in range(bbase, bbase + bulk):
-                self._model_ids[nid] = ("bulk", None, None, p)
+                    self._model_ids[nid] = (None, u, p)
         self._grad_poll_span = (1, lay.grad_notif_count(num_children) - 1)
         self._model_poll_span = (1, lay.model_notif_count - 1)
 
     # Receive-slot views ---------------------------------------------------
 
-    def _grad_rx(self, slot: int, layer: int, parity: int) -> np.ndarray:
-        off = self.layout.grad_slot_offset(slot, layer, parity)
-        return self.seg_grad.view_f64(off, self.specs[layer].param_count)
+    def _grad_rx(self, slot: int, unit: int, parity: int) -> np.ndarray:
+        off = self.layout.grad_slot_offset(slot, unit, parity)
+        return self.seg_grad.view_f64(off, self.layout.param_counts[unit])
 
-    def _grad_bulk_rx(self, slot: int, parity: int) -> np.ndarray:
-        off = self.layout.grad_bulk_offset(slot, parity)
-        return self.seg_grad.view_f64(off, self.layout.total_params)
-
-    def _model_rx(self, layer: int, parity: int) -> np.ndarray:
-        off = self.layout.model_slot_offset(layer, parity)
-        return self.seg_model.view_f64(off, self.specs[layer].param_count)
-
-    def _model_bulk_rx(self, parity: int) -> np.ndarray:
-        off = self.layout.model_bulk_offset(parity)
-        return self.seg_model.view_f64(off, self.layout.total_params)
+    def _model_rx(self, unit: int, parity: int) -> np.ndarray:
+        off = self.layout.model_slot_offset(unit, parity)
+        return self.seg_model.view_f64(off, self.layout.param_counts[unit])
 
     # Event recording ------------------------------------------------------
 
@@ -188,12 +210,11 @@ class RankBase:
         remote_segment: int,
         remote_offset: int,
         local_offset: int,
-        nbytes: int,
+        unit: int,
         notif_base: int,
         kind: str,
-        layer: int,
     ) -> None:
-        """Chunked notify-write of SEG_WORK bytes to one destination.
+        """Chunked notify-write of one unit's SEG_WORK bytes to one destination.
 
         Each chunk carries a notification from the transfer's id block; the
         value is iteration+1 so receivers can tell live data from leftovers
@@ -201,6 +222,7 @@ class RankBase:
         completion of the last chunk's ticket.
         """
         lay = self.layout
+        nbytes = lay.layer_bytes[unit]
         n = lay.chunk_count(nbytes)
         value = self.k + 1
         t0 = time.monotonic_ns()
@@ -221,60 +243,31 @@ class RankBase:
             tickets.append(self.tr.write_notify(req))
             sent += size
         self._tickets.extend(tickets)
-        self._flights.append((kind, self.k, layer, t0, tickets))
+        self._flights.append((kind, self.k, self._labels[unit], t0, tickets))
 
-    def _send_gradient_layer(self, layer: int) -> None:
+    def _send_gradient(self, unit: int) -> None:
         lay = self.layout
         self._send(
-            self.red_parent,
+            self.parent,
             SEG_GRAD,
-            lay.grad_slot_offset(self.parent_slot, layer, self.parity),
-            lay.work_grad_offset(layer),
-            lay.layer_bytes[layer],
-            lay.grad_notif_base(self.parent_slot, layer, self.parity),
+            lay.grad_slot_offset(self.parent_slot, unit, self.parity),
+            lay.work_grad_offset(unit),
+            unit,
+            lay.grad_notif_base(self.parent_slot, unit, self.parity),
             "send_trigger",
-            layer,
         )
 
-    def _send_model_layer(self, layer: int) -> None:
+    def _send_model(self, unit: int) -> None:
         lay = self.layout
-        for child in self.bc_children:
+        for child in self.children:
             self._send(
                 child,
                 SEG_MODEL,
-                lay.model_slot_offset(layer, self.parity),
-                lay.work_model_offset(layer),
-                lay.layer_bytes[layer],
-                lay.model_notif_base(layer, self.parity),
+                lay.model_slot_offset(unit, self.parity),
+                lay.work_model_offset(unit),
+                unit,
+                lay.model_notif_base(unit, self.parity),
                 "model_forward",
-                layer,
-            )
-
-    def _send_gradient_bulk(self) -> None:
-        lay = self.layout
-        self._send(
-            self.red_parent,
-            SEG_GRAD,
-            lay.grad_bulk_offset(self.parent_slot, self.parity),
-            lay.total_bytes,  # gradient region sits after the model in SEG_WORK
-            lay.total_bytes,
-            lay.grad_bulk_base(self.parent_child_count, self.parent_slot, self.parity),
-            "send_trigger",
-            -1,
-        )
-
-    def _send_model_bulk(self) -> None:
-        lay = self.layout
-        for child in self.bc_children:
-            self._send(
-                child,
-                SEG_MODEL,
-                lay.model_bulk_offset(self.parity),
-                0,  # whole model region sits at the start of SEG_WORK
-                lay.total_bytes,
-                lay.model_bulk_base(self.parity),
-                "model_forward",
-                -1,
             )
 
     def _wait_tickets(self) -> None:
@@ -305,9 +298,6 @@ class RankBase:
 
     # Run loop ----------------------------------------------------------------
 
-    def _train_iteration(self, k: int) -> None:
-        raise NotImplementedError
-
     def run(self) -> RankResult:
         """Execute the configured number of iterations and collect results.
 
@@ -334,15 +324,197 @@ class RankBase:
             events=list(self.rec.events) if self.rec is not None else [],
         )
 
+    def _train_iteration(self, k: int) -> None:
+        self.begin_iteration(k)
+        x, t = self._shard(k)
+        t0 = time.monotonic_ns()
+        _, cache = net.forward(self.specs, self.model_views, x)
+        self._record("forward", -1, t0, time.monotonic_ns())
+
+        self._turn_clock = time.monotonic_ns()
+
+        def emit(layer: int, gradient) -> None:
+            self._inflate()
+            self._record("backward_layer", layer, self._turn_clock, time.monotonic_ns())
+            self.run_turn(layer, gradient)
+            self._turn_clock = time.monotonic_ns()
+
+        _, loss = net.backward_from_cache(self.specs, self.model_views, cache, t, emit)
+        self.losses.append(loss)
+        self.finalize_iteration()
+        if self._fenced:
+            self._fence()
+
+    def begin_iteration(self, k: int) -> None:
+        self.k = k
+        self.parity = k & 1
+        self.state = TurnState(len(self.units), len(self.children))
+
+    def run_turn(self, layer: int, gradient) -> None:
+        """Store one layer's local gradient; publish its unit if it is the lowest layer."""
+        self.grad_views[layer][:] = gradient
+        unit = self._unit_at.get(layer)
+        if unit is None:
+            return
+        if self._fenced:
+            self._fence()
+        self.state.local_gradient_ready[unit] = True
+        if self.cfg.world_size == 1:
+            self._apply_update(unit)
+            self.state.gradient_forwarded[unit] = True
+            self.state.model_arrived[unit] = True
+            return
+        self._comm_pass()
+
+    def finalize_iteration(self) -> None:
+        """Poll until the iteration's protocol obligations are met.
+
+        Progress resets the watchdog; a quiet period longer than the
+        configured timeout means a peer died or the protocol wedged, and
+        raises with a state dump instead of hanging forever.
+        """
+        t0 = time.monotonic_ns()
+        deadline = time.monotonic() + self.cfg.finalize_timeout_s
+        while not self._iteration_done():
+            if self._comm_pass():
+                deadline = time.monotonic() + self.cfg.finalize_timeout_s
+            elif time.monotonic() > deadline:
+                raise ProtocolError(
+                    f"rank {self.rank}: no progress for {self.cfg.finalize_timeout_s:.1f}s "
+                    f"finishing iteration {self.k}: {self._dump_state()}"
+                )
+            else:
+                time.sleep(_IDLE_SLEEP_S)
+        self._wait_tickets()
+        self._record("finalize", -1, t0, time.monotonic_ns())
+
+    def _fence(self) -> None:
+        t0 = time.monotonic_ns()
+        self.tr.barrier()
+        self._record("barrier", -1, t0, time.monotonic_ns())
+
+    # Internal steps ---------------------------------------------------------
+
+    def _apply_update(self, unit: int) -> None:
+        first, stop = self.units[unit]
+        for layer in range(first, stop):
+            t0 = time.monotonic_ns()
+            self.model_views[layer][:] = master_update(
+                self.model_views[layer], self.grad_views[layer], self.cfg.epsilon
+            )
+            self._record("master_update", layer, t0, time.monotonic_ns())
+
+    def _comm_pass(self) -> bool:
+        """One non-blocking sweep over both receive segments.
+
+        Returns True when at least one notification was consumed, which is
+        the liveness signal the finalize watchdog feeds on.
+        """
+        t_pass = time.monotonic_ns()
+        st = self.state
+        progressed = False
+        if self.children:
+            for slot, unit, _parity in self._consume(
+                SEG_GRAD, self._grad_ids, self._grad_poll_span
+            ):
+                progressed = True
+                if self._count_chunk(("g", slot, unit), self.layout.layer_chunks[unit]):
+                    st.child_arrived[unit].add(slot)
+                    self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
+        arrived_models: list[int] = []
+        if self.parent is not None:
+            for _slot, unit, _parity in self._consume(
+                SEG_MODEL, self._model_ids, self._model_poll_span
+            ):
+                progressed = True
+                if self._count_chunk(("m", unit), self.layout.layer_chunks[unit]):
+                    arrived_models.append(unit)
+        self._advance_folds()
+        for unit in sorted(arrived_models):
+            self._handle_model_arrival(unit, t_pass)
+        return progressed
+
+    def _count_chunk(self, key: tuple, target: int) -> bool:
+        """Count one consumed chunk notification; True when the transfer completed."""
+        seen = self.state.chunks.get(key, 0) + 1
+        if seen > target:
+            raise ProtocolError(
+                f"rank {self.rank}: transfer {key} delivered more than its {target} chunks"
+            )
+        self.state.chunks[key] = seen
+        return seen == target
+
+    def _advance_folds(self) -> None:
+        """Fold arrived child data and forward every unit that became complete.
+
+        Child slot c for unit u folds only after slots 0..c-1 folded; a
+        unit goes up (or, on the master, into the update) only when its
+        local gradient is published and all child slots are folded.
+        """
+        st = self.state
+        for unit, (first, stop) in enumerate(self.units):
+            if not st.local_gradient_ready[unit] or st.gradient_forwarded[unit]:
+                continue
+            while st.next_fold[unit] in st.child_arrived[unit]:
+                slot = st.next_fold[unit]
+                t0 = time.monotonic_ns()
+                buffer_axpy(1.0, self._grad_rx(slot, unit, self.parity), self.unit_grad_views[unit])
+                self._record("reduce_local", self._labels[unit], t0, time.monotonic_ns())
+                for layer in range(first, stop):
+                    self.fold_counts[layer] += 1
+                st.next_fold[unit] += 1
+            if st.next_fold[unit] == st.num_children:
+                self._complete_gradient(unit)
+
+    def _complete_gradient(self, unit: int) -> None:
+        st = self.state
+        if self.is_master:
+            self._apply_update(unit)
+            self._send_model(unit)
+            st.model_arrived[unit] = True
+        else:
+            self._send_gradient(unit)
+        st.gradient_forwarded[unit] = True
+
+    def _handle_model_arrival(self, unit: int, t_pass: int) -> None:
+        st = self.state
+        if st.model_arrived[unit]:
+            raise ProtocolError(f"rank {self.rank}: duplicate model update for unit {unit}")
+        if not st.gradient_forwarded[unit]:
+            raise ProtocolError(
+                f"rank {self.rank}: model unit {unit} arrived before this rank's "
+                "gradient contribution went up"
+            )
+        self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
+        self.unit_model_views[unit][:] = self._model_rx(unit, self.parity)
+        self._send_model(unit)
+        st.model_arrived[unit] = True
+
+    def _iteration_done(self) -> bool:
+        st = self.state
+        return all(st.gradient_forwarded) and all(st.model_arrived)
+
+    def _dump_state(self) -> str:
+        st = self.state
+        waiting = []
+        for unit, (first, stop) in enumerate(self.units):
+            layers = f"layers [{first}, {stop})"
+            if not st.gradient_forwarded[unit]:
+                missing = [c for c in range(st.num_children) if c not in st.child_arrived[unit]]
+                waiting.append(f"{layers} gradient (children pending: {missing})")
+            elif not st.model_arrived[unit]:
+                waiting.append(f"{layers} model update")
+        return "; ".join(waiting) or "nothing pending"
+
     # Notification consumption -------------------------------------------------
 
     def _consume(self, segment_id: int, decoder: dict[int, tuple], span: tuple[int, int]):
         """Consume current-iteration notifications on one segment.
 
-        Returns decoded descriptors of consumed notifications.  Traffic for
-        iteration k+1 (value k+2 on opposite-parity ids) is left in place
-        for the next iteration; anything else unexpected is a protocol
-        violation and raises.
+        Returns decoded (slot, unit, parity) descriptors of consumed
+        notifications.  Traffic for iteration k+1 (value k+2 on
+        opposite-parity ids) is left in place for the next iteration;
+        anything else unexpected is a protocol violation and raises.
         """
         hits = self.tr.notify_poll(segment_id, span[0], span[1])
         out = []
@@ -350,7 +522,7 @@ class RankBase:
             desc = decoder.get(nid)
             if desc is None:
                 raise ProtocolError(f"rank {self.rank}: unassigned notification id {nid}")
-            parity = desc[3]
+            parity = desc[2]
             if value == self.k + 2 and parity == (self.k + 1) & 1:
                 continue  # next iteration's data, not ours to consume
             if value != self.k + 1 or parity != self.parity:

@@ -20,11 +20,9 @@ import traceback
 from dataclasses import dataclass
 
 from . import net
-from .engine.barrier import BarrierRank
 from .engine.checkpoint import load_model_bytes, save_model, serialize_model
 from .engine.config import TrainConfig
-from .engine.pipelined import PipelinedRank
-from .engine.runtime import RankResult
+from .engine.runtime import Rank, RankResult
 from .engine.sgd import sequential_sgd
 from .errors import ConfigError, TransportError, VerificationError
 from .timeline import Recorder, RunMetrics, TimelineEvent, compute_overlap, write_timeline_csv
@@ -34,10 +32,6 @@ from .transport.tcp import TcpTransport, bind_listener
 
 _RESULT_TIMEOUT_S = 120.0
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
-
-
-def _rank_class(pattern: str):
-    return PipelinedRank if pattern == "pipelined" else BarrierRank
 
 
 def dataset_sha256(dataset: net.Dataset) -> str:
@@ -67,8 +61,7 @@ def run_inproc(
         try:
             transport = world.transport(rank)
             recorder = Recorder(rank) if record else None
-            rank_obj = _rank_class(config.pattern)(config, dataset, transport, recorder)
-            results[rank] = rank_obj.run()
+            results[rank] = Rank(config, dataset, transport, recorder).run()
         except BaseException as exc:  # noqa: BLE001 - reported to the caller below
             failures.append((rank, exc))
             world.abort_barrier()
@@ -83,7 +76,9 @@ def run_inproc(
         t.join()
     world.close()
     if failures:
-        rank, exc = min(failures, key=lambda f: f[0])
+        # the first rank to fail is the root cause; peers that fail after
+        # it see only its side effects (a broken barrier, a silent link)
+        rank, exc = failures[0]
         raise TransportError(f"rank {rank} failed: {exc}") from exc
     return results  # type: ignore[return-value]
 
@@ -140,8 +135,7 @@ def _tcp_child(
         addresses = address_pipe.recv()
         transport = TcpTransport(rank, config.world_size, listener, addresses, latency)
         recorder = Recorder(rank) if record else None
-        rank_obj = _rank_class(config.pattern)(config, dataset, transport, recorder)
-        result = rank_obj.run()
+        result = Rank(config, dataset, transport, recorder).run()
         result_queue.put((rank, _result_payload(result)))
         # hold the mesh open until every rank has finished and reported, so
         # nobody interprets our teardown as a peer failure
@@ -184,7 +178,7 @@ def run_tcp(
     if world == 1:
         transport = TcpTransport(0, 1, None, [], latency)
         try:
-            return [_rank_class(config.pattern)(config, dataset, transport, recorder).run()]
+            return [Rank(config, dataset, transport, recorder).run()]
         finally:
             transport.close()
 
@@ -224,7 +218,7 @@ def run_tcp(
         for _, sender in pipes:
             sender.send(addresses)
         transport = TcpTransport(0, world, listener, addresses, latency)
-        result0 = _rank_class(config.pattern)(config, dataset, transport, recorder).run()
+        result0 = Rank(config, dataset, transport, recorder).run()
 
         payloads: dict[int, dict] = {}
         for _ in range(world - 1):

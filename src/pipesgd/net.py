@@ -76,14 +76,6 @@ def init_model(seed: int, specs: Sequence[DenseLayerSpec]) -> Model:
     return Model(layers=layers, iteration=0)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One training pair."""
-
-    input: np.ndarray
-    target: np.ndarray
-
-
 class Dataset:
     """Fixed-size collection of samples stored as two dense matrices."""
 
@@ -103,9 +95,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.inputs[i], self.targets[i])
 
     def take(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-gathered (inputs, targets) pair for a batch."""

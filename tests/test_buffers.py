@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipesgd.buffers import (
-    Gradient,
-    LayerShape,
     Model,
     buffer_axpy,
     derived_seed,
@@ -120,12 +118,3 @@ def test_model_copy_is_deep():
     c.layers[0][0] = 99.0
     assert m.layers[0][0] == 0.0
     assert c.iteration == 3
-    assert [s.param_count for s in m.shapes()] == [4, 2]
-    assert [s.layer_index for s in m.shapes()] == [0, 1]
-
-
-def test_layer_shape_and_gradient_fields():
-    shape = LayerShape(layer_index=1, param_count=10)
-    assert (shape.layer_index, shape.param_count) == (1, 10)
-    g = Gradient(layers=[np.zeros(10)], rank=2, iteration=5)
-    assert g.rank == 2 and g.iteration == 5

@@ -55,6 +55,7 @@ class TestTrainConfig:
             {"finalize_timeout_s": 0.0},
             {"seed": -1},
             {"seed": 1 << 64},
+            {"iterations": 2**31 - 1},  # tcp barrier sequence would overflow u32
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -77,7 +78,6 @@ class TestSegmentLayout:
         assert lay.work_model_offset(2) == 112
         assert lay.work_grad_offset(0) == 160
         assert lay.layer_chunks == [2, 1, 1]
-        assert lay.bulk_chunks == 3
 
     def test_model_slots_are_parity_disjoint(self):
         lay = SegmentLayout([10, 4], chunk_bytes=64)
@@ -102,13 +102,11 @@ class TestSegmentLayout:
                     span = (off, off + lay.layer_bytes[l])
                     assert span not in seen
                     seen.add(span)
-        # bulk slot for (child, parity) equals the concatenated layer slots
-        assert lay.grad_bulk_offset(2, 1) == lay.grad_slot_offset(2, 0, 1)
 
     @pytest.mark.parametrize("counts", [[3], [100, 1, 50], [7, 7, 7, 7]])
     @pytest.mark.parametrize("chunk_bytes", [8, 64, 4096])
     def test_gradient_notification_ids_never_collide(self, counts, chunk_bytes):
-        """Every (slot, layer, parity, chunk) and bulk id is distinct."""
+        """Every (slot, layer, parity, chunk) id is distinct."""
         lay = SegmentLayout(counts, chunk_bytes)
         num_children = 3
         ids = []
@@ -118,10 +116,6 @@ class TestSegmentLayout:
                     base = lay.grad_notif_base(slot, l, p)
                     n = lay.layer_chunks[l]
                     ids.extend(lay.chunk_notification_id(base, j, n) for j in range(n))
-            for p in (0, 1):
-                base = lay.grad_bulk_base(num_children, slot, p)
-                n = lay.bulk_chunks
-                ids.extend(lay.chunk_notification_id(base, j, n) for j in range(n))
         assert len(ids) == len(set(ids))
         assert min(ids) >= 1  # id 0 is reserved
         assert max(ids) < lay.grad_notif_count(num_children)
@@ -134,12 +128,6 @@ class TestSegmentLayout:
                 base = lay.model_notif_base(l, p)
                 n = lay.layer_chunks[l]
                 ids.extend(lay.chunk_notification_id(base, j, n) for j in range(n))
-        for p in (0, 1):
-            base = lay.model_bulk_base(p)
-            ids.extend(
-                lay.chunk_notification_id(base, j, lay.bulk_chunks)
-                for j in range(lay.bulk_chunks)
-            )
         assert len(ids) == len(set(ids))
         assert min(ids) >= 1
         assert max(ids) < lay.model_notif_count

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pipesgd import net
-from pipesgd.engine import TrainConfig, load_model, serialize_model
-from pipesgd.errors import ConfigError, VerificationError
+from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
+from pipesgd.errors import ConfigError, TransportError, VerificationError
 from pipesgd.harness import (
     BenchOptions,
     BenchReport,
@@ -76,6 +76,24 @@ class TestVerification:
         results[0].model.pop()
         with pytest.raises(VerificationError, match="layers"):
             verify_against_reference(cfg, ds, results)
+
+
+class TestInprocFailure:
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_first_failing_rank_is_reported(self, monkeypatch, pattern):
+        """Peers of a crashed rank fail too (watchdog, broken barrier); the
+        error names the rank that failed first and carries its exception."""
+        train_iteration = Rank._train_iteration
+
+        def crash_rank_3(rank, k):
+            if rank.rank == 3 and k == 2:
+                raise RuntimeError("injected fault")
+            train_iteration(rank, k)
+
+        monkeypatch.setattr(Rank, "_train_iteration", crash_rank_3)
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern, finalize_timeout_s=0.3)
+        with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
+            run_inproc(cfg, build_dataset(cfg))
 
 
 class TestRunTcpGuards:

@@ -246,11 +246,6 @@ class TestDataset:
         assert np.array_equal(x, [[6.0, 7.0], [0.0, 1.0], [6.0, 7.0]])
         assert np.array_equal(t.ravel(), [3.0, 0.0, 3.0])
 
-    def test_getitem(self):
-        ds = Dataset(np.zeros((3, 2)), np.ones((3, 1)))
-        s = ds[1]
-        assert s.input.shape == (2,) and s.target.shape == (1,)
-
     def test_rejects_ragged(self):
         with pytest.raises(ShapeError):
             Dataset(np.zeros((3, 2)), np.zeros((4, 1)))

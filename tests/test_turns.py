@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from pipesgd import net
-from pipesgd.engine import SEG_GRAD, SEG_MODEL, PipelinedRank, TrainConfig, sequential_sgd
+from pipesgd.engine import SEG_GRAD, SEG_MODEL, Rank, TrainConfig, sequential_sgd
 from pipesgd.errors import ProtocolError
+from pipesgd.harness import run_inproc
 from pipesgd.transport import InprocWorld, WriteRequest
 
 
@@ -26,7 +27,7 @@ def make_ranks():
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(world_size)
         worlds.append(world)
-        ranks = [PipelinedRank(cfg, ds, world.transport(r)) for r in range(world_size)]
+        ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]
         return cfg, ds, ranks
 
     yield build
@@ -74,7 +75,7 @@ class TestSingleRank:
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(1)
         tr = CountingTransport(world.transport(0))
-        result = PipelinedRank(cfg, ds, tr).run()
+        result = Rank(cfg, ds, tr).run()
         world.close()
         assert tr.writes == 0
         assert tr.polls == 0
@@ -202,7 +203,7 @@ class TestProtocolViolations:
         r1.begin_iteration(0)
         r1.run_turn(0, grad(r1, 1.0))
         r0.run_turn(0, grad(r0, 1.0))
-        r1._send_gradient_layer(0)  # replay the same transfer
+        r1._send_gradient(0)  # replay the same transfer
         with pytest.raises(ProtocolError, match="more than its"):
             r0._comm_pass()
 
@@ -233,23 +234,11 @@ class TestProtocolViolations:
         # still pending, untouched, for iteration 1 to consume
         assert r0.tr.notify_poll(SEG_GRAD, nid, 1) == [(nid, 2)]
 
-    def test_bulk_chunk_during_layer_run_raises(self, make_ranks):
-        _, _, (r0, r1) = make_ranks(2)
-        r0.begin_iteration(0)
-        lay = r0.layout
-        r1.tr.write_notify(WriteRequest(
-            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_GRAD,
-            remote_offset=lay.grad_bulk_offset(0, 0), size=8,
-            notification_id=lay.grad_bulk_base(1, 0, 0), notification_value=1,
-        ))
-        with pytest.raises(ProtocolError, match="whole-model"):
-            r0._comm_pass()
-
     def test_model_before_own_contribution_raises(self, make_ranks):
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         r1.begin_iteration(0)
-        r0._send_model_layer(0)  # master jumps the gun
+        r0._send_model(0)  # master jumps the gun
         with pytest.raises(ProtocolError, match="before this rank's"):
             r1._comm_pass()
 
@@ -281,3 +270,37 @@ class TestCrossIteration:
         r1.finalize_iteration()
         assert r0.fold_counts[0] == 2    # one fold per iteration
         assert r0.model_views[0].tobytes() == r1.model_views[0].tobytes()
+
+
+class TestTraffic:
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_chunks_per_tree_edge(self, monkeypatch, pattern):
+        """Each tree edge carries one transfer's chunks per direction per
+        iteration: one transfer per layer when pipelined, one whole-model
+        transfer under the barrier schedule."""
+        cfg = TrainConfig(
+            layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
+            dataset_size=16, seed=9, chunk_bytes=128, pattern=pattern,
+        )
+        layer_bytes = [8 * s.param_count for s in cfg.specs()]
+        assert max(layer_bytes) > 2 * cfg.chunk_bytes  # a layer spans several chunks
+        if pattern == "pipelined":
+            per_edge = sum(-(-b // cfg.chunk_bytes) for b in layer_bytes)
+        else:
+            per_edge = -(-sum(layer_bytes) // cfg.chunk_bytes)
+
+        counters = {}
+        make_transport = InprocWorld.transport
+
+        def counting_transport(world, rank):
+            counters[rank] = CountingTransport(make_transport(world, rank))
+            return counters[rank]
+
+        monkeypatch.setattr(InprocWorld, "transport", counting_transport)
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        run_inproc(cfg, ds)
+        # binomial tree over 4 ranks: 1 -> 0, 2 -> 0, 3 -> 2; a rank writes
+        # its gradient to its parent and the model to each of its children
+        edges_out = {0: 2, 1: 1, 2: 2, 3: 1}
+        per_iter = {r: c.writes / cfg.iterations for r, c in counters.items()}
+        assert per_iter == {r: n * per_edge for r, n in edges_out.items()}
