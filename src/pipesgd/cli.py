@@ -39,7 +39,6 @@ _CONFIG_KEYS = (
     "hosts",
     "latency_fixed_ns",
     "latency_per_byte_ns",
-    "chunk_bytes",
     "compute_inflation_ns",
     "dataset_size",
     "dataset_csv",
@@ -90,7 +89,6 @@ def build_parser() -> _Parser:
     p.add_argument("--hosts", help="comma-separated listen host per rank (loopback only)")
     p.add_argument("--latency-fixed-ns", type=int, help="injected per-message latency")
     p.add_argument("--latency-per-byte-ns", type=float, help="injected per-byte latency")
-    p.add_argument("--chunk-bytes", type=int, help="transfer chunk size (default 65536)")
     p.add_argument(
         "--compute-inflation-ns", type=int, help="extra sleep per backward layer, for benchmarks"
     )
@@ -161,8 +159,6 @@ def options_from_args(args: argparse.Namespace) -> BenchOptions:
         config_kwargs["seed"] = values["seed"]
     if "layers" in values:
         config_kwargs["layer_dims"] = _parse_layers(values["layers"])
-    if "chunk_bytes" in values:
-        config_kwargs["chunk_bytes"] = values["chunk_bytes"]
     if "compute_inflation_ns" in values:
         config_kwargs["compute_inflation_ns"] = values["compute_inflation_ns"]
     if "dataset_size" in values:

@@ -32,7 +32,6 @@ class TrainConfig:
     epsilon: float = 0.05
     seed: int = 42
     pattern: str = "pipelined"
-    chunk_bytes: int = 65536
     compute_inflation_ns: int = 0
     dataset_size: int = 256
     input_scale: float = 1.0
@@ -64,10 +63,6 @@ class TrainConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.pattern not in PATTERNS:
             raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
-        if self.chunk_bytes < 8:
-            raise ConfigError(f"chunk_bytes must be >= 8, got {self.chunk_bytes}")
-        if self.chunk_bytes % 8 != 0:
-            raise ConfigError(f"chunk_bytes must be a multiple of 8, got {self.chunk_bytes}")
         if self.compute_inflation_ns < 0:
             raise ConfigError("compute_inflation_ns must be >= 0")
         if self.dataset_size < 1:

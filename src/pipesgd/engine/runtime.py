@@ -52,7 +52,7 @@ from ..buffers import buffer_axpy
 from ..errors import ConfigError, ProtocolError
 from ..timeline import Recorder, TimelineEvent
 from ..topology import build_reduction_tree
-from ..transport.base import TransportBase, WriteRequest
+from ..transport.base import Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_GRAD, SEG_MODEL, SEG_WORK, SegmentLayout
 from .sgd import batch_indices, master_update, shard_bounds
@@ -88,8 +88,6 @@ class TurnState:
         # ascending slot order so the float summation order is fixed
         self.next_fold = [0] * num_units
         self.num_children = num_children
-        # consumed notification count per transfer key
-        self.chunks: dict[tuple, int] = {}
 
 
 class Rank:
@@ -124,9 +122,7 @@ class Rank:
         # timeline layer index of a unit's spans; -1 marks a multi-layer unit
         self._labels = [first if stop - first == 1 else -1 for first, stop in self.units]
         bounds = list(itertools.accumulate((s.param_count for s in self.specs), initial=0))
-        self.layout = SegmentLayout(
-            [bounds[stop] - bounds[first] for first, stop in self.units], config.chunk_bytes
-        )
+        self.layout = SegmentLayout([bounds[stop] - bounds[first] for first, stop in self.units])
 
         tree = build_reduction_tree(config.world_size)
         self.children = tree.children[self.rank]
@@ -158,33 +154,15 @@ class Rank:
         for l in range(self.num_layers):
             self.model_views[l][:] = start.layers[l]
 
-        self._build_decoders(nc)
+        # every id in [1, count) is assigned, so polls cover exactly that span
+        self._grad_poll_ids = lay.grad_notif_count(nc) - 1
+        self._model_poll_ids = lay.model_notif_count - 1
         self.losses: list[float] = []
         self.fold_counts = [0] * self.num_layers
-        self._tickets = []
-        self._flights: list[tuple[str, int, int, int, list]] = []
+        # (kind, iteration, label, trigger time, ticket) per outgoing write
+        self._flights: list[tuple[str, int, int, int, Ticket]] = []
         self.k = 0
         self.parity = 0
-
-    # Notification decoding ------------------------------------------------
-
-    def _build_decoders(self, num_children: int) -> None:
-        """Map every notification id to (child slot, unit, parity)."""
-        lay = self.layout
-        block = lay._layer_block
-        self._grad_ids: dict[int, tuple] = {}
-        self._model_ids: dict[int, tuple] = {}
-        for u in range(lay.num_layers):
-            for p in (0, 1):
-                for slot in range(num_children):
-                    base = lay.grad_notif_base(slot, u, p)
-                    for nid in range(base, base + block):
-                        self._grad_ids[nid] = (slot, u, p)
-                base = lay.model_notif_base(u, p)
-                for nid in range(base, base + block):
-                    self._model_ids[nid] = (None, u, p)
-        self._grad_poll_span = (1, lay.grad_notif_count(num_children) - 1)
-        self._model_poll_span = (1, lay.model_notif_count - 1)
 
     # Receive-slot views ---------------------------------------------------
 
@@ -211,39 +189,30 @@ class Rank:
         remote_offset: int,
         local_offset: int,
         unit: int,
-        notif_base: int,
+        notification_id: int,
         kind: str,
     ) -> None:
-        """Chunked notify-write of one unit's SEG_WORK bytes to one destination.
+        """One notify-write of one unit's SEG_WORK bytes to one destination.
 
-        Each chunk carries a notification from the transfer's id block; the
-        value is iteration+1 so receivers can tell live data from leftovers
-        (value 0 means "never fired").  The flight is timed from here to the
-        completion of the last chunk's ticket.
+        The whole unit moves as a single write with a single notification
+        whose value is iteration+1, so receivers can tell live data from
+        leftovers (value 0 means "never fired").  The flight is timed from
+        here to the completion of the write's ticket.
         """
-        lay = self.layout
-        nbytes = lay.layer_bytes[unit]
-        n = lay.chunk_count(nbytes)
-        value = self.k + 1
         t0 = time.monotonic_ns()
-        tickets = []
-        sent = 0
-        for j in range(n):
-            size = min(lay.chunk_bytes, nbytes - sent)
-            req = WriteRequest(
+        ticket = self.tr.write_notify(
+            WriteRequest(
                 local_segment=SEG_WORK,
-                local_offset=local_offset + sent,
+                local_offset=local_offset,
                 rank=dest_rank,
                 remote_segment=remote_segment,
-                remote_offset=remote_offset + sent,
-                size=size,
-                notification_id=lay.chunk_notification_id(notif_base, j, n),
-                notification_value=value,
+                remote_offset=remote_offset,
+                size=self.layout.unit_bytes[unit],
+                notification_id=notification_id,
+                notification_value=self.k + 1,
             )
-            tickets.append(self.tr.write_notify(req))
-            sent += size
-        self._tickets.extend(tickets)
-        self._flights.append((kind, self.k, self._labels[unit], t0, tickets))
+        )
+        self._flights.append((kind, self.k, self._labels[unit], t0, ticket))
 
     def _send_gradient(self, unit: int) -> None:
         lay = self.layout
@@ -253,7 +222,7 @@ class Rank:
             lay.grad_slot_offset(self.parent_slot, unit, self.parity),
             lay.work_grad_offset(unit),
             unit,
-            lay.grad_notif_base(self.parent_slot, unit, self.parity),
+            lay.grad_notif_id(self.parent_slot, unit, self.parity),
             "send_trigger",
         )
 
@@ -266,7 +235,7 @@ class Rank:
                 lay.model_slot_offset(unit, self.parity),
                 lay.work_model_offset(unit),
                 unit,
-                lay.model_notif_base(unit, self.parity),
+                lay.model_notif_id(unit, self.parity),
                 "model_forward",
             )
 
@@ -276,13 +245,12 @@ class Rank:
         Source buffers in SEG_WORK are reused next iteration, so every
         ticket must complete before the iteration ends.
         """
-        if self._tickets:
-            self.tr.ticket_wait_all(self._tickets, timeout=self.cfg.finalize_timeout_s)
+        self.tr.ticket_wait_all(
+            [flight[-1] for flight in self._flights], timeout=self.cfg.finalize_timeout_s
+        )
         if self.rec is not None:
-            for kind, k, layer, t0, tickets in self._flights:
-                t1 = max(t.completed_at_ns for t in tickets)
-                self.rec.record(kind, k, layer, t0, max(t0, t1))
-        self._tickets = []
+            for kind, k, layer, t0, ticket in self._flights:
+                self.rec.record(kind, k, layer, t0, max(t0, ticket.completed_at_ns))
         self._flights = []
 
     # Batch handling ---------------------------------------------------------
@@ -414,35 +382,24 @@ class Rank:
         st = self.state
         progressed = False
         if self.children:
-            for slot, unit, _parity in self._consume(
-                SEG_GRAD, self._grad_ids, self._grad_poll_span
-            ):
+            for slot, unit in self._consume(SEG_GRAD, self._grad_poll_ids):
                 progressed = True
-                if self._count_chunk(("g", slot, unit), self.layout.layer_chunks[unit]):
-                    st.child_arrived[unit].add(slot)
-                    self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
+                if slot in st.child_arrived[unit]:
+                    raise ProtocolError(
+                        f"rank {self.rank}: duplicate gradient from child slot {slot} "
+                        f"for unit {unit}"
+                    )
+                st.child_arrived[unit].add(slot)
+                self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
         arrived_models: list[int] = []
         if self.parent is not None:
-            for _slot, unit, _parity in self._consume(
-                SEG_MODEL, self._model_ids, self._model_poll_span
-            ):
+            for _slot, unit in self._consume(SEG_MODEL, self._model_poll_ids):
                 progressed = True
-                if self._count_chunk(("m", unit), self.layout.layer_chunks[unit]):
-                    arrived_models.append(unit)
+                arrived_models.append(unit)
         self._advance_folds()
         for unit in sorted(arrived_models):
             self._handle_model_arrival(unit, t_pass)
         return progressed
-
-    def _count_chunk(self, key: tuple, target: int) -> bool:
-        """Count one consumed chunk notification; True when the transfer completed."""
-        seen = self.state.chunks.get(key, 0) + 1
-        if seen > target:
-            raise ProtocolError(
-                f"rank {self.rank}: transfer {key} delivered more than its {target} chunks"
-            )
-        self.state.chunks[key] = seen
-        return seen == target
 
     def _advance_folds(self) -> None:
         """Fold arrived child data and forward every unit that became complete.
@@ -508,21 +465,18 @@ class Rank:
 
     # Notification consumption -------------------------------------------------
 
-    def _consume(self, segment_id: int, decoder: dict[int, tuple], span: tuple[int, int]):
+    def _consume(self, segment_id: int, num_ids: int) -> list[tuple[int, int]]:
         """Consume current-iteration notifications on one segment.
 
-        Returns decoded (slot, unit, parity) descriptors of consumed
-        notifications.  Traffic for iteration k+1 (value k+2 on
+        Polls ids [1, 1 + num_ids) and returns the (slot, unit) of each
+        consumed notification.  Traffic for iteration k+1 (value k+2 on
         opposite-parity ids) is left in place for the next iteration;
         anything else unexpected is a protocol violation and raises.
         """
-        hits = self.tr.notify_poll(segment_id, span[0], span[1])
+        hits = self.tr.notify_poll(segment_id, 1, num_ids)
         out = []
         for nid, value in hits:
-            desc = decoder.get(nid)
-            if desc is None:
-                raise ProtocolError(f"rank {self.rank}: unassigned notification id {nid}")
-            parity = desc[2]
+            slot, unit, parity = self.layout.decode(nid)
             if value == self.k + 2 and parity == (self.k + 1) & 1:
                 continue  # next iteration's data, not ours to consume
             if value != self.k + 1 or parity != self.parity:
@@ -531,5 +485,5 @@ class Rank:
                     f"{value} on id {nid} (parity {parity})"
                 )
             self.tr.notify_reset(segment_id, nid)
-            out.append(desc)
+            out.append((slot, unit))
         return out

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import queue
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -31,7 +33,10 @@ from .transport.inproc import InprocWorld
 from .transport.tcp import TcpTransport, bind_listener
 
 _RESULT_TIMEOUT_S = 120.0
-_LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
+# how long a failed rank 0 waits for a child's report of the root cause
+_CULPRIT_WAIT_S = 1.0
+# listeners are AF_INET sockets, so IPv6 loopback cannot be served
+_LOOPBACK_HOSTS = ("127.0.0.1", "localhost")
 
 
 def dataset_sha256(dataset: net.Dataset) -> str:
@@ -142,12 +147,28 @@ def _tcp_child(
         transport.barrier()
     except BaseException:  # noqa: BLE001 - marshalled to the parent
         result_queue.put((rank, {"error": traceback.format_exc()}))
+        # flush the report into the pipe before closing the mesh below, so
+        # it is queued before any peer can see this rank's connection drop
+        result_queue.close()
+        result_queue.join_thread()
     finally:
         if transport is not None:
             try:
                 transport.close()
             except Exception:
                 pass
+
+
+def _next_report(result_queue, timeout: float) -> tuple[int, dict] | None:
+    """The next child report in arrival order, None on timeout; a report
+    of a failed child is raised."""
+    try:
+        rank, payload = result_queue.get(timeout=max(0.0, timeout))
+    except queue.Empty:
+        return None
+    if "error" in payload:
+        raise TransportError(f"rank {rank} failed:\n{payload['error']}")
+    return rank, payload
 
 
 def run_tcp(
@@ -171,7 +192,8 @@ def run_tcp(
     for h in hosts:
         if h not in _LOOPBACK_HOSTS:
             raise ConfigError(
-                f"host {h!r} is not loopback; ranks run as local processes only"
+                f"host {h!r} is not an IPv4 loopback host {_LOOPBACK_HOSTS}; "
+                "ranks run as local processes only"
             )
 
     recorder = Recorder(0) if record else None
@@ -218,16 +240,23 @@ def run_tcp(
         for _, sender in pipes:
             sender.send(addresses)
         transport = TcpTransport(0, world, listener, addresses, latency)
-        result0 = Rank(config, dataset, transport, recorder).run()
+        try:
+            result0 = Rank(config, dataset, transport, recorder).run()
+        except Exception:
+            # rank 0 often fails only because a child crashed first; that
+            # child's report is then already queued, and it is the root cause
+            deadline = time.monotonic() + _CULPRIT_WAIT_S
+            while _next_report(result_queue, deadline - time.monotonic()) is not None:
+                pass  # a finished child's result; look on for an error
+            raise
 
         payloads: dict[int, dict] = {}
         for _ in range(world - 1):
-            rank, payload = result_queue.get(timeout=_RESULT_TIMEOUT_S)
+            report = _next_report(result_queue, _RESULT_TIMEOUT_S)
+            if report is None:
+                raise TransportError(f"no rank result within {_RESULT_TIMEOUT_S} s")
+            rank, payload = report
             payloads[rank] = payload
-        errors = {r: p["error"] for r, p in payloads.items() if "error" in p}
-        if errors:
-            rank = min(errors)
-            raise TransportError(f"rank {rank} failed:\n{errors[rank]}")
         # everyone reported; release the children from their teardown hold
         transport.barrier()
         results = [result0] + [_payload_result(payloads[r]) for r in sorted(payloads)]

@@ -180,6 +180,8 @@ class TransportBase:
         self.latency = latency or LatencyModel()
         self.barrier_calls = 0
         self._segments: dict[int, Segment] = {}
+        # first error that broke this endpoint; raised by later calls
+        self._failure: Exception | None = None
 
     # -- segments ---------------------------------------------------------
     def segment_create(self, segment_id: int, size: int, notification_count: int) -> Segment:
@@ -199,9 +201,22 @@ class TransportBase:
         except KeyError:
             raise ConfigError(f"segment {segment_id} does not exist on rank {self.rank}") from None
 
+    # -- failure ------------------------------------------------------------
+    def _mark_failed(self, exc: Exception) -> None:
+        if self._failure is None:
+            self._failure = exc
+
+    def _check_failed(self) -> None:
+        if self._failure is not None:
+            raise TransportError(f"transport failed: {self._failure}") from self._failure
+
     # -- local notification ops -------------------------------------------
     def notify_poll(self, segment_id: int, first_id: int, count: int) -> list[tuple[int, int]]:
-        return self.segment(segment_id).notifications.poll(first_id, count)
+        hits = self.segment(segment_id).notifications.poll(first_id, count)
+        if not hits:
+            # already-delivered data stays consumable after a failure
+            self._check_failed()
+        return hits
 
     def notify_reset(self, segment_id: int, notification_id: int) -> int:
         return self.segment(segment_id).notifications.reset(notification_id)

@@ -115,6 +115,11 @@ class InprocWorld:
             raise TransportError("barrier broken; a peer failed") from exc
 
     def abort_barrier(self) -> None:
+        """Break the barrier and fail every rank's transport, so peers of a
+        crashed rank stop at their next barrier or idle notify poll."""
+        exc = TransportError("a peer failed")
+        for tr in list(self._transports.values()):
+            tr._mark_failed(exc)
         self._barrier.abort()
 
     def close(self) -> None:

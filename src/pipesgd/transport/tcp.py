@@ -37,19 +37,30 @@ _BARRIER_TIMEOUT = 120.0
 _POLL_SLEEP = 2e-5
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray | None:
-    """Read exactly n bytes; None on clean EOF before the first byte."""
-    data = bytearray(n)
-    view = memoryview(data)
+def _recv_into(sock: socket.socket, buf) -> bool:
+    """Fill buf from the socket; False on clean EOF before the first byte."""
+    view = memoryview(buf)
+    n = len(view)
     got = 0
     while got < n:
         r = sock.recv_into(view[got:], n - got)
         if r == 0:
             if got == 0:
-                return None
+                return False
             raise TransportError(f"connection closed mid-frame ({got}/{n} bytes)")
         got += r
-    return data
+    return True
+
+
+def _send_frame(sock: socket.socket, header: bytes, payload) -> None:
+    """Send header and payload as one frame, straight from their buffers."""
+    buffers = [memoryview(header), memoryview(payload)]
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if sent:
+            buffers[0] = buffers[0][sent:]
 
 
 class _SendWorker:
@@ -64,20 +75,20 @@ class _SendWorker:
         )
         self._thread.start()
 
-    def submit(self, header: bytes, payload, size: int, ticket: Ticket) -> None:
-        self._queue.put((header, payload, size, ticket))
+    def submit(self, header: bytes, payload, ticket: Ticket) -> None:
+        self._queue.put((header, payload, ticket))
 
     def _run(self) -> None:
         while True:
             item = self._queue.get()
             if item is None:
                 return
-            header, payload, size, ticket = item
+            header, payload, ticket = item
             try:
-                delay = self._transport.latency.delay_seconds(size)
+                delay = self._transport.latency.delay_seconds(len(payload))
                 if delay > 0:
                     time.sleep(delay)
-                self._sock.sendall(header + bytes(payload) if size else header)
+                _send_frame(self._sock, header, payload)
                 ticket.complete()
             except Exception as exc:
                 ticket.fail(exc)
@@ -102,7 +113,6 @@ class TcpTransport(TransportBase):
         super().__init__(rank, world_size, latency)
         if world_size > 1 and len(addresses) != world_size:
             raise ConfigError(f"need {world_size} addresses, got {len(addresses)}")
-        self._failure: Exception | None = None
         self._closing = False
         # peers that closed their side cleanly (EOF on a frame boundary);
         # everything they ever sent has already been applied by then
@@ -131,8 +141,8 @@ class TcpTransport(TransportBase):
             for _ in range(self.rank):
                 sock, _addr = listener.accept()
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                hello = _recv_exact(sock, wire.HELLO_SIZE)
-                if hello is None:
+                hello = bytearray(wire.HELLO_SIZE)
+                if not _recv_into(sock, hello):
                     raise TransportError("peer closed connection before hello")
                 peer = wire.unpack_hello(bytes(hello))
                 if not (0 <= peer < self.rank) or peer in self._peers:
@@ -156,10 +166,12 @@ class TcpTransport(TransportBase):
 
     # -- receive path -------------------------------------------------------
     def _recv_loop(self, peer: int, sock: socket.socket) -> None:
+        """Apply incoming frames: the payload is received straight into its
+        destination range, which is checked before any byte is read."""
+        header = bytearray(wire.HEADER_SIZE)
         try:
             while True:
-                header = _recv_exact(sock, wire.HEADER_SIZE)
-                if header is None:
+                if not _recv_into(sock, header):
                     # clean close: the frame stream ended on a boundary, so
                     # every notification the peer fired is already visible.
                     # Record it per peer instead of failing the transport;
@@ -167,26 +179,15 @@ class TcpTransport(TransportBase):
                     self._peers_closed.add(peer)
                     return
                 fh = wire.unpack_write_notify(bytes(header))
-                payload = b""
-                if fh.payload_size:
-                    got = _recv_exact(sock, fh.payload_size)
-                    if got is None:
-                        raise TransportError("connection closed before payload")
-                    payload = got
                 seg = self.segment(fh.dest_segment)
-                seg.write(fh.dest_offset, payload)
+                seg.check_range(fh.dest_offset, fh.payload_size)
+                dest = seg.data[fh.dest_offset : fh.dest_offset + fh.payload_size]
+                if not _recv_into(sock, dest):
+                    raise TransportError("connection closed before payload")
                 seg.notifications.fire(fh.notification_id, fh.notification_value)
         except Exception as exc:
             if not self._closing:
                 self._mark_failed(exc)
-
-    def _mark_failed(self, exc: Exception) -> None:
-        if self._failure is None:
-            self._failure = exc
-
-    def _check_failed(self) -> None:
-        if self._failure is not None:
-            raise TransportError(f"transport failed: {self._failure}") from self._failure
 
     # -- one-sided ops ------------------------------------------------------
     def write_notify(self, req: WriteRequest) -> Ticket:
@@ -211,7 +212,7 @@ class TcpTransport(TransportBase):
             req.notification_value,
         )
         ticket = Ticket()
-        sender.submit(header, view, req.size, ticket)
+        sender.submit(header, view, ticket)
         return ticket
 
     def notify_poll(self, segment_id: int, first_id: int, count: int) -> list[tuple[int, int]]:

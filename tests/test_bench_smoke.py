@@ -1,0 +1,32 @@
+"""The benchmark script runs end to end against the current sources.
+
+``bench/`` counts transport traffic by wrapping ``write_notify`` and
+``notify_poll`` on the transport classes; this guards that contract and
+the script's final JSON line against refactors of the program.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_tcp_wide_run_is_correct_and_counts_traffic():
+    proc = subprocess.run(
+        [
+            sys.executable, "bench/run.py",
+            "--workload", "tcp-wide", "--seconds", "0", "--trace", "1",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, proc.stderr
+    assert report["failed"] == 0
+    for pattern in ("pipelined", "barrier"):
+        assert report["metrics"][f"{pattern}.transport.rank0.bytes_per_iter"]["value"] > 0

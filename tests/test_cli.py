@@ -32,7 +32,7 @@ class TestParsing:
     def test_flags_land_in_config(self):
         opts = parse([
             "--ranks", "8", "--iters", "12", "--batch", "64", "--epsilon", "0.01",
-            "--seed", "9", "--layers", "10,20,5", "--chunk-bytes", "128",
+            "--seed", "9", "--layers", "10,20,5",
             "--compute-inflation-ns", "1000", "--dataset-size", "99",
             "--input-scale", "0.5",
         ])
@@ -43,7 +43,6 @@ class TestParsing:
         assert cfg.epsilon == 0.01
         assert cfg.seed == 9
         assert cfg.layer_dims == (10, 20, 5)
-        assert cfg.chunk_bytes == 128
         assert cfg.compute_inflation_ns == 1000
         assert cfg.dataset_size == 99
         assert cfg.input_scale == 0.5

@@ -48,8 +48,6 @@ class TestTrainConfig:
             {"epsilon": 0.0},
             {"epsilon": -1.0},
             {"pattern": "ring"},
-            {"chunk_bytes": 4},
-            {"chunk_bytes": 12},
             {"compute_inflation_ns": -1},
             {"dataset_size": 0},
             {"finalize_timeout_s": 0.0},
@@ -70,79 +68,65 @@ class TestTrainConfig:
 
 class TestSegmentLayout:
     def test_offsets_and_sizes(self):
-        lay = SegmentLayout([10, 4, 6], chunk_bytes=64)
-        assert lay.layer_bytes == [80, 32, 48]
-        assert lay.layer_offsets == [0, 80, 112]
+        lay = SegmentLayout([10, 4, 6])
+        assert lay.unit_bytes == [80, 32, 48]
+        assert lay.unit_offsets == [0, 80, 112]
         assert lay.total_bytes == 160
         assert lay.work_size == 320
         assert lay.work_model_offset(2) == 112
         assert lay.work_grad_offset(0) == 160
-        assert lay.layer_chunks == [2, 1, 1]
 
     def test_model_slots_are_parity_disjoint(self):
-        lay = SegmentLayout([10, 4], chunk_bytes=64)
+        lay = SegmentLayout([10, 4])
         spans = []
         for p in (0, 1):
-            for l in (0, 1):
-                off = lay.model_slot_offset(l, p)
-                spans.append((off, off + lay.layer_bytes[l]))
+            for u in (0, 1):
+                off = lay.model_slot_offset(u, p)
+                spans.append((off, off + lay.unit_bytes[u]))
         spans.sort()
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert a1 <= b0
         assert spans[-1][1] == lay.model_rx_size
 
     def test_grad_slots_cover_child_and_parity(self):
-        lay = SegmentLayout([6, 2], chunk_bytes=64)
+        lay = SegmentLayout([6, 2])
         assert lay.grad_rx_size(3) == 3 * 2 * 64
         seen = set()
         for slot in range(3):
             for p in (0, 1):
-                for l in (0, 1):
-                    off = lay.grad_slot_offset(slot, l, p)
-                    span = (off, off + lay.layer_bytes[l])
+                for u in (0, 1):
+                    off = lay.grad_slot_offset(slot, u, p)
+                    span = (off, off + lay.unit_bytes[u])
                     assert span not in seen
                     seen.add(span)
 
     @pytest.mark.parametrize("counts", [[3], [100, 1, 50], [7, 7, 7, 7]])
-    @pytest.mark.parametrize("chunk_bytes", [8, 64, 4096])
-    def test_gradient_notification_ids_never_collide(self, counts, chunk_bytes):
-        """Every (slot, layer, parity, chunk) id is distinct."""
-        lay = SegmentLayout(counts, chunk_bytes)
+    def test_gradient_notification_ids_never_collide(self, counts):
+        """Every (slot, unit, parity) id is distinct, the ids fill
+        [1, count) with id 0 reserved, and each decodes back."""
+        lay = SegmentLayout(counts)
         num_children = 3
-        ids = []
+        ids = {}
         for slot in range(num_children):
-            for l in range(lay.num_layers):
+            for u in range(lay.num_units):
                 for p in (0, 1):
-                    base = lay.grad_notif_base(slot, l, p)
-                    n = lay.layer_chunks[l]
-                    ids.extend(lay.chunk_notification_id(base, j, n) for j in range(n))
-        assert len(ids) == len(set(ids))
-        assert min(ids) >= 1  # id 0 is reserved
-        assert max(ids) < lay.grad_notif_count(num_children)
+                    ids[lay.grad_notif_id(slot, u, p)] = (slot, u, p)
+        assert sorted(ids) == list(range(1, lay.grad_notif_count(num_children)))
+        assert all(lay.decode(nid) == key for nid, key in ids.items())
 
     def test_model_notification_ids_never_collide(self):
-        lay = SegmentLayout([100, 1, 50], chunk_bytes=64)
-        ids = []
-        for l in range(lay.num_layers):
+        lay = SegmentLayout([100, 1, 50])
+        ids = {}
+        for u in range(lay.num_units):
             for p in (0, 1):
-                base = lay.model_notif_base(l, p)
-                n = lay.layer_chunks[l]
-                ids.extend(lay.chunk_notification_id(base, j, n) for j in range(n))
-        assert len(ids) == len(set(ids))
-        assert min(ids) >= 1
-        assert max(ids) < lay.model_notif_count
-
-    def test_final_chunk_carries_base_id(self):
-        lay = SegmentLayout([64], chunk_bytes=64)
-        assert lay.chunk_notification_id(17, 0, 1) == 17
-        assert lay.chunk_notification_id(17, 2, 3) == 17
-        assert lay.chunk_notification_id(17, 0, 3) == 18
-        assert lay.chunk_notification_id(17, 1, 3) == 19
+                ids[lay.model_notif_id(u, p)] = (0, u, p)
+        assert sorted(ids) == list(range(1, lay.model_notif_count))
+        assert all(lay.decode(nid) == key for nid, key in ids.items())
 
     @pytest.mark.parametrize("bad", [[], [0], [5, -1]])
     def test_rejects_bad_layer_counts(self, bad):
         with pytest.raises(ConfigError):
-            SegmentLayout(bad, 64)
+            SegmentLayout(bad)
 
 
 class TestMasterUpdate:

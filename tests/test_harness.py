@@ -1,5 +1,7 @@
 """Benchmark harness: dataset plumbing, artifact paths, verification, reports."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -78,22 +80,52 @@ class TestVerification:
             verify_against_reference(cfg, ds, results)
 
 
+def crash_rank_3_at_iteration_2(monkeypatch):
+    train_iteration = Rank._train_iteration
+
+    def crash(rank, k):
+        if rank.rank == 3 and k == 2:
+            raise RuntimeError("injected fault")
+        train_iteration(rank, k)
+
+    monkeypatch.setattr(Rank, "_train_iteration", crash)
+
+
 class TestInprocFailure:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_first_failing_rank_is_reported(self, monkeypatch, pattern):
         """Peers of a crashed rank fail too (watchdog, broken barrier); the
         error names the rank that failed first and carries its exception."""
-        train_iteration = Rank._train_iteration
-
-        def crash_rank_3(rank, k):
-            if rank.rank == 3 and k == 2:
-                raise RuntimeError("injected fault")
-            train_iteration(rank, k)
-
-        monkeypatch.setattr(Rank, "_train_iteration", crash_rank_3)
+        crash_rank_3_at_iteration_2(monkeypatch)
         cfg = small_config(world_size=4, iterations=4, pattern=pattern, finalize_timeout_s=0.3)
         with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
             run_inproc(cfg, build_dataset(cfg))
+
+    def test_pipelined_peers_stop_without_waiting_out_the_timeout(self, monkeypatch):
+        """The aborted world fails the peers' idle polls, so a crash ends the
+        run at once even with the default 30 s finalize timeout."""
+        crash_rank_3_at_iteration_2(monkeypatch)
+        cfg = small_config(world_size=4, iterations=4).replace(
+            finalize_timeout_s=TrainConfig.finalize_timeout_s
+        )
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
+            run_inproc(cfg, build_dataset(cfg))
+        assert time.monotonic() - t0 < 2.0
+
+
+class TestTcpFailure:
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_first_failing_rank_is_reported(self, monkeypatch, pattern):
+        """Rank 0 sees only a dropped connection; the error still names the
+        child that crashed and carries its traceback."""
+        crash_rank_3_at_iteration_2(monkeypatch)  # inherited by forked children
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern)
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="^rank 3 failed:\n") as info:
+            run_tcp(cfg, build_dataset(cfg))
+        assert "RuntimeError: injected fault" in str(info.value)
+        assert time.monotonic() - t0 < 5.0
 
 
 class TestRunTcpGuards:
@@ -102,6 +134,9 @@ class TestRunTcpGuards:
         ds = build_dataset(cfg)
         with pytest.raises(ConfigError, match="loopback"):
             run_tcp(cfg, ds, hosts=["10.0.0.7", "127.0.0.1"])
+        # listeners are IPv4 only, so IPv6 loopback is refused before forking
+        with pytest.raises(ConfigError, match="loopback"):
+            run_tcp(cfg, ds, hosts=["127.0.0.1", "::1"])
 
     def test_rejects_wrong_host_count(self):
         cfg = small_config()

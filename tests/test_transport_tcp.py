@@ -64,7 +64,7 @@ class TestMesh:
         close_all([a])
 
     def test_payload_larger_than_socket_buffer(self):
-        """A multi-megabyte write arrives intact through framed chunks."""
+        """A multi-megabyte write arrives intact across partial sends and reads."""
         a, b = start_mesh(2, segment_size=4 * 1024 * 1024)
         rng = np.random.default_rng(0)
         payload = rng.integers(0, 256, size=3_000_000, dtype=np.uint8).tobytes()
@@ -142,6 +142,21 @@ class TestFailure:
             for _ in range(200):
                 a.write_notify(WriteRequest(0, 0, 1, 0, 0, 1 << 20, 1, 1)).wait(5.0)
         a.close()
+
+    def test_out_of_range_write_fails_the_receiver(self):
+        """The destination range is checked before the payload is read, so
+        a write past the end of the peer's segment fails the peer's
+        transport and leaves its segment bytes untouched."""
+        a, b = start_mesh(2, segment_size=4096)
+        a.segment(0).write(0, b"\xab" * 256)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 4000, 256, 1, 1)).wait(5.0)
+        deadline = time.monotonic() + 5
+        with pytest.raises(TransportError, match="outside segment 0"):
+            while time.monotonic() < deadline:
+                b.notify_poll(0, 1, 8)
+                time.sleep(0.002)
+        assert b.segment(0).read(0, 4096) == bytes(4096)
+        close_all([a, b])
 
     def test_poll_surfaces_peer_failure_when_idle(self):
         a, b = start_mesh(2)

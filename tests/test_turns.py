@@ -98,8 +98,8 @@ class TestLeafTurn:
         # notification pending: one-sided, nothing on rank 0 ran yet
         lay = r0.layout
         assert r0._grad_rx(0, 0, 0).tolist() == g1.tolist()
-        base = lay.grad_notif_base(0, 0, 0)
-        assert r0.tr.notify_poll(SEG_GRAD, base, 1) == [(base, 1)]
+        nid = lay.grad_notif_id(0, 0, 0)
+        assert r0.tr.notify_poll(SEG_GRAD, nid, 1) == [(nid, 1)]
         assert r1.state.gradient_forwarded[0]
 
     def test_fold_waits_for_local_gradient(self, make_ranks):
@@ -156,46 +156,6 @@ class TestFoldOrder:
         assert [r.fold_counts[0] for r in ranks] == [2, 0, 1, 0]
 
 
-class TestChunkedArrival:
-    def test_completion_counts_chunks_in_any_order(self, make_ranks):
-        """Chunk notifications may land in any order; the transfer completes
-        only when all of them did, then folds exactly once."""
-        _, _, (r0, r1) = make_ranks(2, chunk_bytes=8)
-        lay = r0.layout
-        n = lay.layer_chunks[0]
-        assert n == r0.specs[0].param_count  # 8-byte chunks, one float each
-
-        r0.begin_iteration(0)
-        r0.run_turn(0, grad(r0, 10.0))
-        payload = np.arange(1.0, n + 1.0)
-        r1.grad_views[0][:] = payload
-        base = lay.grad_notif_base(0, 0, 0)
-
-        def send_chunk(j):
-            r1.tr.write_notify(WriteRequest(
-                local_segment=0,
-                local_offset=lay.work_grad_offset(0) + j * 8,
-                rank=0,
-                remote_segment=SEG_GRAD,
-                remote_offset=lay.grad_slot_offset(0, 0, 0) + j * 8,
-                size=8,
-                notification_id=lay.chunk_notification_id(base, j, n),
-                notification_value=1,
-            ))
-
-        # the final chunk (which carries the base id) goes FIRST
-        for j in reversed(range(1, n)):
-            send_chunk(j)
-        r0._comm_pass()
-        assert r0.state.child_arrived[0] == set()
-        assert r0.fold_counts[0] == 0
-
-        send_chunk(0)
-        r0._comm_pass()
-        assert r0.fold_counts[0] == 1
-        assert r0.grad_views[0].tolist() == (10.0 + payload).tolist()
-
-
 class TestProtocolViolations:
     def test_duplicate_transfer_raises(self, make_ranks):
         _, _, (r0, r1) = make_ranks(2)
@@ -204,7 +164,7 @@ class TestProtocolViolations:
         r1.run_turn(0, grad(r1, 1.0))
         r0.run_turn(0, grad(r0, 1.0))
         r1._send_gradient(0)  # replay the same transfer
-        with pytest.raises(ProtocolError, match="more than its"):
+        with pytest.raises(ProtocolError, match="duplicate gradient from child slot 0"):
             r0._comm_pass()
 
     def test_unexpected_value_raises(self, make_ranks):
@@ -214,7 +174,7 @@ class TestProtocolViolations:
         r1.tr.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=0, remote_segment=SEG_GRAD,
             remote_offset=lay.grad_slot_offset(0, 0, 0), size=8,
-            notification_id=lay.grad_notif_base(0, 0, 0), notification_value=7,
+            notification_id=lay.grad_notif_id(0, 0, 0), notification_value=7,
         ))
         with pytest.raises(ProtocolError, match="notification value"):
             r0._comm_pass()
@@ -224,7 +184,7 @@ class TestProtocolViolations:
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         lay = r0.layout
-        nid = lay.grad_notif_base(0, 0, 1)  # parity-1 slot
+        nid = lay.grad_notif_id(0, 0, 1)  # parity-1 slot
         r1.tr.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=0, remote_segment=SEG_GRAD,
             remote_offset=lay.grad_slot_offset(0, 0, 1), size=8,
@@ -275,19 +235,14 @@ class TestCrossIteration:
 class TestTraffic:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_chunks_per_tree_edge(self, monkeypatch, pattern):
-        """Each tree edge carries one transfer's chunks per direction per
-        iteration: one transfer per layer when pipelined, one whole-model
-        transfer under the barrier schedule."""
+        """Each tree edge carries one write per transfer unit per direction
+        per iteration: one unit per layer when pipelined, one whole-model
+        unit under the barrier schedule."""
         cfg = TrainConfig(
             layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
-            dataset_size=16, seed=9, chunk_bytes=128, pattern=pattern,
+            dataset_size=16, seed=9, pattern=pattern,
         )
-        layer_bytes = [8 * s.param_count for s in cfg.specs()]
-        assert max(layer_bytes) > 2 * cfg.chunk_bytes  # a layer spans several chunks
-        if pattern == "pipelined":
-            per_edge = sum(-(-b // cfg.chunk_bytes) for b in layer_bytes)
-        else:
-            per_edge = -(-sum(layer_bytes) // cfg.chunk_bytes)
+        per_edge = len(cfg.specs()) if pattern == "pipelined" else 1
 
         counters = {}
         make_transport = InprocWorld.transport
