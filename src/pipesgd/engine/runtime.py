@@ -327,11 +327,6 @@ class Rank:
         if self._fenced:
             self._fence()
         self.state.local_gradient_ready[unit] = True
-        if self.cfg.world_size == 1:
-            self._apply_update(unit)
-            self.state.gradient_forwarded[unit] = True
-            self.state.model_arrived[unit] = True
-            return
         self._comm_pass()
 
     def finalize_iteration(self) -> None:

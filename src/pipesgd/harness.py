@@ -3,9 +3,9 @@
 Two launchers share every bit of engine code:
 
   run_inproc  one thread per rank over the in-process transport,
-  run_tcp     one process per rank (fork) over the TCP mesh; rank 0 runs
-              in the calling process, children stream results back over a
-              queue as checkpoint blobs.
+  run_tcp     one process per rank over the TCP mesh; every listener is
+              bound before the fork, rank 0 runs in the calling process,
+              and each forked child sends its RankResult back over a queue.
 
 run_benchmark drives one or both patterns over one dataset, verifies
 against the single-process reference optimizer on request, and reports
@@ -17,24 +17,22 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import queue
-import time
+import socket
 import traceback
 from dataclasses import dataclass
 
 from . import net
-from .engine.checkpoint import load_model_bytes, save_model, serialize_model
+from .engine.checkpoint import save_model
 from .engine.config import TrainConfig
 from .engine.runtime import Rank, RankResult
 from .engine.sgd import sequential_sgd
 from .errors import ConfigError, TransportError, VerificationError
-from .timeline import Recorder, RunMetrics, TimelineEvent, compute_overlap, write_timeline_csv
+from .timeline import Recorder, RunMetrics, compute_overlap, write_timeline_csv
 from .transport.base import LatencyModel
 from .transport.inproc import InprocWorld
 from .transport.tcp import TcpTransport, bind_listener
 
 _RESULT_TIMEOUT_S = 120.0
-# how long a failed rank 0 waits for a child's report of the root cause
-_CULPRIT_WAIT_S = 1.0
 # listeners are AF_INET sockets, so IPv6 loopback cannot be served
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost")
 
@@ -91,62 +89,29 @@ def run_inproc(
 # -- TCP launcher -------------------------------------------------------------
 
 
-def _result_payload(result: RankResult) -> dict:
-    return {
-        "rank": result.rank,
-        "world_size": result.world_size,
-        "iterations": result.iterations,
-        "model": serialize_model(result.model),
-        "losses": result.losses,
-        "barrier_calls": result.barrier_calls,
-        "fold_counts": result.fold_counts,
-        "wall_ns": result.wall_ns,
-        "events": [
-            (e.rank, e.iteration, e.layer, e.kind, e.t_start_ns, e.t_end_ns)
-            for e in result.events
-        ],
-    }
-
-
-def _payload_result(payload: dict) -> RankResult:
-    return RankResult(
-        rank=payload["rank"],
-        world_size=payload["world_size"],
-        iterations=payload["iterations"],
-        model=load_model_bytes(payload["model"]).layers,
-        losses=payload["losses"],
-        barrier_calls=payload["barrier_calls"],
-        fold_counts=payload["fold_counts"],
-        wall_ns=payload["wall_ns"],
-        events=[TimelineEvent(*row) for row in payload["events"]],
-    )
-
-
 def _tcp_child(
     rank: int,
     config: TrainConfig,
     dataset: net.Dataset,
     latency: LatencyModel | None,
     record: bool,
-    host: str,
-    port_queue,
-    address_pipe,
+    listeners: list[socket.socket],
+    addresses: list[tuple[str, int]],
     result_queue,
 ) -> None:
     transport = None
     try:
-        listener = bind_listener(host)
-        port_queue.put((rank, listener.getsockname()[:2]))
-        addresses = address_pipe.recv()
-        transport = TcpTransport(rank, config.world_size, listener, addresses, latency)
+        for r, listener in enumerate(listeners):
+            if r != rank:
+                listener.close()
+        transport = TcpTransport(rank, config.world_size, listeners[rank], addresses, latency)
         recorder = Recorder(rank) if record else None
-        result = Rank(config, dataset, transport, recorder).run()
-        result_queue.put((rank, _result_payload(result)))
+        result_queue.put((rank, Rank(config, dataset, transport, recorder).run()))
         # hold the mesh open until every rank has finished and reported, so
         # nobody interprets our teardown as a peer failure
         transport.barrier()
     except BaseException:  # noqa: BLE001 - marshalled to the parent
-        result_queue.put((rank, {"error": traceback.format_exc()}))
+        result_queue.put((rank, traceback.format_exc()))
         # flush the report into the pipe before closing the mesh below, so
         # it is queued before any peer can see this rank's connection drop
         result_queue.close()
@@ -159,16 +124,16 @@ def _tcp_child(
                 pass
 
 
-def _next_report(result_queue, timeout: float) -> tuple[int, dict] | None:
-    """The next child report in arrival order, None on timeout; a report
-    of a failed child is raised."""
+def _next_report(result_queue, timeout: float) -> RankResult | None:
+    """The next child result in arrival order, None on timeout; the
+    traceback a failed child reported is raised."""
     try:
-        rank, payload = result_queue.get(timeout=max(0.0, timeout))
+        rank, report = result_queue.get(timeout=timeout)
     except queue.Empty:
         return None
-    if "error" in payload:
-        raise TransportError(f"rank {rank} failed:\n{payload['error']}")
-    return rank, payload
+    if isinstance(report, str):
+        raise TransportError(f"rank {rank} failed:\n{report}")
+    return report
 
 
 def run_tcp(
@@ -180,9 +145,10 @@ def run_tcp(
 ) -> list[RankResult]:
     """One process per rank over a localhost TCP mesh; rank 0 runs here.
 
-    Children are forked, so they see the same dataset bytes without any
-    serialization; results come back over a queue with models encoded in
-    the checkpoint format.
+    Every rank's listener is bound here before the fork, so each forked
+    child inherits its listener and the full address list, and the dataset
+    bytes without any serialization; each child sends its RankResult back
+    over a queue.
     """
     world = config.world_size
     if hosts is None:
@@ -196,72 +162,48 @@ def run_tcp(
                 "ranks run as local processes only"
             )
 
-    recorder = Recorder(0) if record else None
-    if world == 1:
-        transport = TcpTransport(0, 1, None, [], latency)
-        try:
-            return [Rank(config, dataset, transport, recorder).run()]
-        finally:
-            transport.close()
-
     ctx = multiprocessing.get_context("fork")
-    port_queue = ctx.Queue()
     result_queue = ctx.Queue()
-    pipes = [ctx.Pipe(duplex=False) for _ in range(world - 1)]
-    children = [
-        ctx.Process(
-            target=_tcp_child,
-            args=(
-                r,
-                config,
-                dataset,
-                latency,
-                record,
-                hosts[r],
-                port_queue,
-                pipes[r - 1][0],
-                result_queue,
-            ),
-            daemon=True,
-        )
-        for r in range(1, world)
-    ]
-    for child in children:
-        child.start()
-
+    listeners: list[socket.socket] = []
+    children: list[multiprocessing.process.BaseProcess] = []
     transport = None
     try:
-        listener = bind_listener(hosts[0])
-        addresses: list[tuple[str, int] | None] = [None] * world
-        addresses[0] = listener.getsockname()[:2]
-        for _ in range(world - 1):
-            rank, addr = port_queue.get(timeout=_RESULT_TIMEOUT_S)
-            addresses[rank] = addr
-        for _, sender in pipes:
-            sender.send(addresses)
-        transport = TcpTransport(0, world, listener, addresses, latency)
+        for h in hosts:
+            listeners.append(bind_listener(h))
+        addresses = [listener.getsockname()[:2] for listener in listeners]
+        for r in range(1, world):
+            child = ctx.Process(
+                target=_tcp_child,
+                args=(r, config, dataset, latency, record, listeners, addresses, result_queue),
+                daemon=True,
+            )
+            child.start()
+            children.append(child)
+        for listener in listeners[1:]:
+            listener.close()
+        transport = TcpTransport(0, world, listeners[0], addresses, latency)
+        recorder = Recorder(0) if record else None
         try:
-            result0 = Rank(config, dataset, transport, recorder).run()
-        except Exception:
-            # rank 0 often fails only because a child crashed first; that
-            # child's report is then already queued, and it is the root cause
-            deadline = time.monotonic() + _CULPRIT_WAIT_S
-            while _next_report(result_queue, deadline - time.monotonic()) is not None:
+            results = [Rank(config, dataset, transport, recorder).run()]
+        except Exception as exc:
+            # rank 0 learns of a crashed child only when its sockets close,
+            # and the child flushed its report before closing them, so the
+            # root cause is already queued if there is one
+            while _next_report(result_queue, 0) is not None:
                 pass  # a finished child's result; look on for an error
-            raise
+            raise TransportError(f"rank 0 failed: {exc}") from exc
 
-        payloads: dict[int, dict] = {}
         for _ in range(world - 1):
-            report = _next_report(result_queue, _RESULT_TIMEOUT_S)
-            if report is None:
+            result = _next_report(result_queue, _RESULT_TIMEOUT_S)
+            if result is None:
                 raise TransportError(f"no rank result within {_RESULT_TIMEOUT_S} s")
-            rank, payload = report
-            payloads[rank] = payload
+            results.append(result)
         # everyone reported; release the children from their teardown hold
         transport.barrier()
-        results = [result0] + [_payload_result(payloads[r]) for r in sorted(payloads)]
-        return results
+        return sorted(results, key=lambda result: result.rank)
     finally:
+        for listener in listeners:
+            listener.close()
         if transport is not None:
             transport.close()
         for child in children:
@@ -270,7 +212,6 @@ def run_tcp(
             if child.is_alive():
                 child.terminate()
                 child.join(timeout=5)
-        port_queue.close()
         result_queue.close()
 
 

@@ -124,10 +124,10 @@ class TcpTransport(TransportBase):
         # control segment for barrier traffic; bypasses segment_create on
         # purpose, the id is reserved and exists before any peer can write.
         self._segments[CONTROL_SEGMENT] = Segment(CONTROL_SEGMENT, 1, 64)
-        if world_size > 1:
-            if listener is None:
-                raise ConfigError("a bound listening socket is required for world_size > 1")
+        if listener is not None:
             self._connect_mesh(listener, addresses)
+        elif world_size > 1:
+            raise ConfigError("a bound listening socket is required for world_size > 1")
 
     # -- mesh setup ---------------------------------------------------------
     def _connect_mesh(self, listener: socket.socket, addresses: list[tuple[str, int]]) -> None:

@@ -80,31 +80,35 @@ class TestVerification:
             verify_against_reference(cfg, ds, results)
 
 
-def crash_rank_3_at_iteration_2(monkeypatch):
+def crash_at(monkeypatch, rank, iteration):
     train_iteration = Rank._train_iteration
 
-    def crash(rank, k):
-        if rank.rank == 3 and k == 2:
+    def crash(r, k):
+        if r.rank == rank and k == iteration:
             raise RuntimeError("injected fault")
-        train_iteration(rank, k)
+        train_iteration(r, k)
 
     monkeypatch.setattr(Rank, "_train_iteration", crash)
 
 
+crash_points = pytest.mark.parametrize("rank,iteration", [(0, 0), (0, 2), (3, 0), (3, 2)])
+
+
 class TestInprocFailure:
+    @crash_points
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
-    def test_first_failing_rank_is_reported(self, monkeypatch, pattern):
+    def test_first_failing_rank_is_reported(self, monkeypatch, pattern, rank, iteration):
         """Peers of a crashed rank fail too (watchdog, broken barrier); the
         error names the rank that failed first and carries its exception."""
-        crash_rank_3_at_iteration_2(monkeypatch)
+        crash_at(monkeypatch, rank, iteration)
         cfg = small_config(world_size=4, iterations=4, pattern=pattern, finalize_timeout_s=0.3)
-        with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
+        with pytest.raises(TransportError, match=f"^rank {rank} failed: injected fault$"):
             run_inproc(cfg, build_dataset(cfg))
 
     def test_pipelined_peers_stop_without_waiting_out_the_timeout(self, monkeypatch):
         """The aborted world fails the peers' idle polls, so a crash ends the
         run at once even with the default 30 s finalize timeout."""
-        crash_rank_3_at_iteration_2(monkeypatch)
+        crash_at(monkeypatch, 3, 2)
         cfg = small_config(world_size=4, iterations=4).replace(
             finalize_timeout_s=TrainConfig.finalize_timeout_s
         )
@@ -115,17 +119,24 @@ class TestInprocFailure:
 
 
 class TestTcpFailure:
+    @crash_points
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
-    def test_first_failing_rank_is_reported(self, monkeypatch, pattern):
-        """Rank 0 sees only a dropped connection; the error still names the
-        child that crashed and carries its traceback."""
-        crash_rank_3_at_iteration_2(monkeypatch)  # inherited by forked children
+    def test_first_failing_rank_is_reported(self, monkeypatch, pattern, rank, iteration):
+        """Rank 0 runs here and raises its own exception; a crashed child is
+        seen by rank 0 only as a dropped connection, and the error still
+        names that child and carries its traceback."""
+        crash_at(monkeypatch, rank, iteration)  # inherited by forked children
         cfg = small_config(world_size=4, iterations=4, pattern=pattern)
         t0 = time.monotonic()
-        with pytest.raises(TransportError, match="^rank 3 failed:\n") as info:
-            run_tcp(cfg, build_dataset(cfg))
-        assert "RuntimeError: injected fault" in str(info.value)
-        assert time.monotonic() - t0 < 5.0
+        if rank == 0:
+            with pytest.raises(TransportError, match="^rank 0 failed: injected fault$"):
+                run_tcp(cfg, build_dataset(cfg))
+            assert time.monotonic() - t0 < 1.0
+        else:
+            with pytest.raises(TransportError, match=f"^rank {rank} failed:\n") as info:
+                run_tcp(cfg, build_dataset(cfg))
+            assert "RuntimeError: injected fault" in str(info.value)
+            assert time.monotonic() - t0 < 5.0
 
 
 class TestRunTcpGuards:
