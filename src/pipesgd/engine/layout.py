@@ -2,8 +2,10 @@
 
 The layout is built over the engine's transfer units: contiguous layer
 ranges that move as one transfer.  The engine passes one entry per unit -
-one per layer under the pipelined schedule, a single whole-model entry
-under the barrier baseline.  Every rank registers the same three segments:
+under the pipelined schedule, one per layer or a single whole-model entry
+as the compute and link model plans them (``runtime.plan_units``); under
+the barrier baseline, a single whole-model entry.  Every rank registers the
+same three segments:
 
   SEG_WORK   private working memory: [model units][gradient units].
              Remote writes never land here; it is the local source for

@@ -3,9 +3,12 @@
 A rank owns three segments (see :mod:`.layout`), works on float64 views
 into them, and talks to its tree neighbours through one-sided
 notify-writes.  Model and gradient move in *transfer units*: contiguous
-``[first, stop)`` layer ranges fixed by the configured pattern.  The
-pipelined schedule moves one unit per layer; the barrier baseline moves
-one whole-model unit.
+``[first, stop)`` layer ranges.  The barrier baseline moves one
+whole-model unit.  The pipelined schedule plans its units from the
+compute and link model (:func:`plan_units`): one unit per layer when the
+backward compute of the next layer can hide one more write, one
+fence-free whole-model unit when it cannot.  A multi-layer unit records
+its fold, flight and receive spans under timeline layer -1.
 
 The backward pass emits layer gradients from the output layer down.  A
 unit is published on the *turn* that emits its lowest layer: the rank
@@ -52,12 +55,42 @@ from ..buffers import buffer_axpy
 from ..errors import ConfigError, ProtocolError
 from ..timeline import Recorder, TimelineEvent
 from ..topology import build_reduction_tree
-from ..transport.base import Ticket, TransportBase, WriteRequest
+from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_GRAD, SEG_MODEL, SEG_WORK, SegmentLayout
 from .sgd import batch_indices, master_update, shard_bounds
 
 _IDLE_SLEEP_S = 2e-5
+
+# Engine work one more transfer unit adds per iteration: its fold, notify
+# polls, master update call and write ticket.  Measured on rank 0 with
+# `bench/run.py --workload inproc-small --seed 7 --seconds 20 --trace 1`
+# on a 2-vCPU VM while the pipelined schedule still moved one unit per
+# layer: fold + update + post-backward tail took 1.48 ms per iteration
+# over 4 units, 0.45 ms under the barrier baseline's single unit, so
+# about 0.34 ms for each of the 3 extra units.
+_UNIT_COST_NS = 340_000
+
+
+def plan_units(num_layers: int, hide_ns: int, latency: LatencyModel) -> list[tuple[int, int]]:
+    """Contiguous ``[first, stop)`` layer ranges in ascending order.
+
+    Walking down from the top layer, the open unit is closed below a
+    layer only when the backward compute that would hide its write
+    (``hide_ns`` per layer) is at least the cost of one more write: the
+    link's fixed latency plus the engine's per-unit work.  The unit
+    holding layer 0 always closes, since nothing is left to compute
+    behind it.  Every input is shared by all ranks, so they all plan the
+    same units.
+    """
+    write_ns = latency.fixed_ns + _UNIT_COST_NS
+    units = []
+    stop = num_layers
+    for layer in reversed(range(num_layers)):
+        if layer == 0 or hide_ns >= write_ns:
+            units.append((layer, stop))
+            stop = layer
+    return units[::-1]
 
 
 @dataclass
@@ -72,6 +105,7 @@ class RankResult:
     barrier_calls: int
     fold_counts: list[int]
     wall_ns: int
+    units: list[tuple[int, int]]
     events: list[TimelineEvent] = field(default_factory=list)
 
 
@@ -113,7 +147,9 @@ class Rank:
         self.specs = config.specs()
         self.num_layers = len(self.specs)
         if config.pattern == "pipelined":
-            self.units = [(l, l + 1) for l in range(self.num_layers)]
+            self.units = plan_units(
+                self.num_layers, config.compute_inflation_ns, transport.latency
+            )
         else:
             self.units = [(0, self.num_layers)]
         self._fenced = config.pattern == "barrier"
@@ -289,6 +325,7 @@ class Rank:
             barrier_calls=self.tr.barrier_calls - base_barriers,
             fold_counts=list(self.fold_counts),
             wall_ns=wall_ns,
+            units=list(self.units),
             events=list(self.rec.events) if self.rec is not None else [],
         )
 

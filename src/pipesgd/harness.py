@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import queue
 import socket
+import time
 import traceback
 from dataclasses import dataclass
 
@@ -33,6 +35,11 @@ from .transport.inproc import InprocWorld
 from .transport.tcp import TcpTransport, bind_listener
 
 _RESULT_TIMEOUT_S = 120.0
+# A child that dies drops its sockets and its sentinel in the same exit
+# step, so when rank 0 fails because a child vanished, the exit is visible
+# at once; a failure of rank 0's own waits this long for one.  It is also
+# how often the result wait looks for children that died without a report.
+_EXIT_WAIT_S = 0.1
 # listeners are AF_INET sockets, so IPv6 loopback cannot be served
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost")
 
@@ -124,16 +131,36 @@ def _tcp_child(
                 pass
 
 
-def _next_report(result_queue, timeout: float) -> RankResult | None:
-    """The next child result in arrival order, None on timeout; the
-    traceback a failed child reported is raised."""
+def _drain(result_queue, timeout: float) -> list[tuple[int, RankResult | str]]:
+    """Child reports in arrival order: all queued now, or the first to come
+    within ``timeout``.  A failed child's report is its traceback string."""
+    reports = []
     try:
-        rank, report = result_queue.get(timeout=timeout)
+        reports.append(result_queue.get(timeout=timeout))
+        while True:
+            reports.append(result_queue.get(timeout=0))
     except queue.Empty:
-        return None
-    if isinstance(report, str):
-        raise TransportError(f"rank {rank} failed:\n{report}")
-    return report
+        return reports
+
+
+def _child_failure(children, reports) -> TransportError | None:
+    """The root cause among the children, if any.
+
+    A child that exited nonzero without a report died silently (a kill, an
+    ``os._exit``); every other failure is reported, and the peers that lose
+    their connection to it report only after it, so the first traceback to
+    arrive names the culprit.
+    """
+    reported = {rank for rank, _ in reports}
+    for rank, child in enumerate(children, start=1):
+        if rank not in reported and child.exitcode:  # None while running
+            return TransportError(
+                f"rank {rank} failed: exited with code {child.exitcode} without a report"
+            )
+    for rank, report in reports:
+        if isinstance(report, str):
+            return TransportError(f"rank {rank} failed:\n{report}")
+    return None
 
 
 def run_tcp(
@@ -148,7 +175,9 @@ def run_tcp(
     Every rank's listener is bound here before the fork, so each forked
     child inherits its listener and the full address list, and the dataset
     bytes without any serialization; each child sends its RankResult back
-    over a queue.
+    over a queue.  A failure is raised as ``rank N failed: ...`` for the
+    rank that caused it: a child's own traceback, or its exit code when it
+    died without a report.
     """
     world = config.world_size
     if hosts is None:
@@ -186,21 +215,30 @@ def run_tcp(
         try:
             results = [Rank(config, dataset, transport, recorder).run()]
         except Exception as exc:
-            # rank 0 learns of a crashed child only when its sockets close,
-            # and the child flushed its report before closing them, so the
-            # root cause is already queued if there is one
-            while _next_report(result_queue, 0) is not None:
-                pass  # a finished child's result; look on for an error
-            raise TransportError(f"rank 0 failed: {exc}") from exc
+            # rank 0 learns of a failed child only when its sockets close: a
+            # reporting child flushed its report before closing them, and a
+            # silently dead one closed its sentinel with them
+            ready = multiprocessing.connection.wait(
+                [child.sentinel for child in children], _EXIT_WAIT_S
+            )
+            for child in children:
+                if child.sentinel in ready:
+                    child.join(_EXIT_WAIT_S)  # it is exiting; collect its code
+            failure = _child_failure(children, _drain(result_queue, 0))
+            raise failure or TransportError(f"rank 0 failed: {exc}") from exc
 
-        for _ in range(world - 1):
-            result = _next_report(result_queue, _RESULT_TIMEOUT_S)
-            if result is None:
+        reports = []
+        deadline = time.monotonic() + _RESULT_TIMEOUT_S
+        while len(reports) < world - 1:
+            if time.monotonic() > deadline:
                 raise TransportError(f"no rank result within {_RESULT_TIMEOUT_S} s")
-            results.append(result)
+            reports += _drain(result_queue, _EXIT_WAIT_S)
+            failure = _child_failure(children, reports)
+            if failure is not None:
+                raise failure
         # everyone reported; release the children from their teardown hold
         transport.barrier()
-        return sorted(results, key=lambda result: result.rank)
+        return sorted(results + [r for _, r in reports], key=lambda result: result.rank)
     finally:
         for listener in listeners:
             listener.close()
@@ -324,6 +362,7 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
             f"{pattern}.wall_clock_ns={report.wall_ns}",
             f"{pattern}.barrier_calls={report.barrier_calls}",
             f"{pattern}.final_loss={results[0].losses[-1]:.6e}",
+            f"{pattern}.units={results[0].units}",
         ] + [f"{pattern}.{line}" for line in metrics.lines()]
         metric_lines.extend(lines)
         for line in lines:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pipesgd import net
-from pipesgd.engine import TrainConfig, sequential_sgd
+from pipesgd.engine import TrainConfig, runtime, sequential_sgd
 from pipesgd.harness import run_inproc, run_tcp, verify_against_reference
 from pipesgd.transport import LatencyModel
 
@@ -83,6 +83,26 @@ class TestTcp:
     def test_non_power_of_two_world(self):
         cfg, ds = make_problem(3, iterations=3)
         assert_bit_identical(run_tcp(cfg, ds), sequential_sgd(cfg, ds))
+
+
+class TestMixedUnits:
+    """Units of several layers that are not the whole model: the planner
+    never makes them from one inflation value, so the plan is forced."""
+
+    @pytest.mark.parametrize("plan", [[(0, 2), (2, 3)], [(0, 1), (1, 3)], [(0, 1), (1, 2), (2, 3)]])
+    @pytest.mark.parametrize("world_size", [2, 3, 4])
+    @pytest.mark.parametrize("launcher", [run_inproc, run_tcp], ids=["inproc", "tcp"])
+    def test_forced_plan_matches_reference(self, monkeypatch, launcher, world_size, plan):
+        # forked tcp children inherit the patched planner
+        monkeypatch.setattr(runtime, "plan_units", lambda *_args: plan)
+        cfg, ds = make_problem(world_size, layer_dims=(6, 9, 7, 5), iterations=4)
+        results = launcher(cfg, ds, record=True)
+        assert_bit_identical(results, sequential_sgd(cfg, ds))
+        labels = [first if stop - first == 1 else -1 for first, stop in plan]
+        for result in results:
+            assert result.units == plan
+            folds = {e.layer for e in result.events if e.kind == "reduce_local"}
+            assert folds <= set(labels)
 
 
 class TestBarrierCounts:

@@ -1,5 +1,7 @@
 """Benchmark harness: dataset plumbing, artifact paths, verification, reports."""
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -91,6 +93,20 @@ def crash_at(monkeypatch, rank, iteration):
     monkeypatch.setattr(Rank, "_train_iteration", crash)
 
 
+def die_at(monkeypatch, rank, iteration, how):
+    """End one rank's process without a report: ``os._exit(1)`` or SIGKILL."""
+    train_iteration = Rank._train_iteration
+
+    def die(r, k):
+        if r.rank == rank and k == iteration:
+            if how == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        train_iteration(r, k)
+
+    monkeypatch.setattr(Rank, "_train_iteration", die)
+
+
 crash_points = pytest.mark.parametrize("rank,iteration", [(0, 0), (0, 2), (3, 0), (3, 2)])
 
 
@@ -139,6 +155,23 @@ class TestTcpFailure:
             assert time.monotonic() - t0 < 5.0
 
 
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("how,code", [("exit", 1), ("kill", -signal.SIGKILL)])
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_silent_child_death_is_named(self, monkeypatch, pattern, how, code, rank):
+        """A child that dies without a report is named by its exit code, not
+        blamed on a peer that lost its connection to it."""
+        die_at(monkeypatch, rank, 2, how)  # inherited by forked children
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern)
+        t0 = time.monotonic()
+        with pytest.raises(
+            TransportError,
+            match=f"^rank {rank} failed: exited with code {code} without a report$",
+        ):
+            run_tcp(cfg, build_dataset(cfg))
+        assert time.monotonic() - t0 < 1.0
+
+
 class TestRunTcpGuards:
     def test_rejects_non_loopback_hosts(self):
         cfg = small_config()
@@ -174,7 +207,18 @@ class TestRunBenchmark:
         assert "pipelined.wall_clock_ns=" in out
         assert "pipelined.barrier_calls=0" in out
         assert "pipelined.final_loss=" in out
+        assert "pipelined.units=[(0, 2)]" in out  # no compute to hide a write
         assert "pipelined.overlap_ratio=" in out
+
+    def test_prints_the_unit_plan_that_ran(self, capsys):
+        """Backward compute that can hide a write gives one unit per layer."""
+        run_benchmark(BenchOptions(
+            config=small_config(compute_inflation_ns=1_000_000),
+            patterns=("pipelined", "barrier"),
+        ))
+        out = capsys.readouterr().out
+        assert "pipelined.units=[(0, 1), (1, 2)]" in out
+        assert "barrier.units=[(0, 2)]" in out
 
     def test_both_patterns_emit_wall_ratio(self, capsys):
         reports = run_benchmark(

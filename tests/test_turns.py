@@ -5,14 +5,20 @@ caller's thread, so these tests can interleave ranks deterministically:
 publish a gradient here, poll there, and inspect the state in between.
 """
 
+import random
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipesgd import net
-from pipesgd.engine import SEG_GRAD, SEG_MODEL, Rank, TrainConfig, sequential_sgd
+from pipesgd.engine import SEG_GRAD, SEG_MODEL, Rank, TrainConfig, runtime, sequential_sgd
+from pipesgd.engine.runtime import plan_units
 from pipesgd.errors import ProtocolError
 from pipesgd.harness import run_inproc
-from pipesgd.transport import InprocWorld, WriteRequest
+from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
 
 
 @pytest.fixture
@@ -232,30 +238,142 @@ class TestCrossIteration:
         assert r0.model_views[0].tobytes() == r1.model_views[0].tobytes()
 
 
+def writes_per_rank_per_iteration(monkeypatch, cfg, latency=None):
+    counters = {}
+    make_transport = InprocWorld.transport
+
+    def counting_transport(world, rank):
+        counters[rank] = CountingTransport(make_transport(world, rank))
+        return counters[rank]
+
+    monkeypatch.setattr(InprocWorld, "transport", counting_transport)
+    ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+    run_inproc(cfg, ds, latency=latency)
+    return {r: c.writes / cfg.iterations for r, c in counters.items()}
+
+
+# binomial tree over 4 ranks: 1 -> 0, 2 -> 0, 3 -> 2; a rank writes its
+# gradient to its parent and the model to each of its children
+EDGES_OUT = {0: 2, 1: 1, 2: 2, 3: 1}
+
+
 class TestTraffic:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_chunks_per_tree_edge(self, monkeypatch, pattern):
         """Each tree edge carries one write per transfer unit per direction
-        per iteration: one unit per layer when pipelined, one whole-model
-        unit under the barrier schedule."""
+        per iteration: the planned units when pipelined (one whole-model
+        unit here, with no compute to hide a write), one whole-model unit
+        under the barrier schedule."""
         cfg = TrainConfig(
             layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
             dataset_size=16, seed=9, pattern=pattern,
         )
-        per_edge = len(cfg.specs()) if pattern == "pipelined" else 1
+        plan = plan_units(len(cfg.specs()), cfg.compute_inflation_ns, LatencyModel())
+        per_edge = len(plan) if pattern == "pipelined" else 1
+        per_iter = writes_per_rank_per_iteration(monkeypatch, cfg)
+        assert per_iter == {r: n * per_edge for r, n in EDGES_OUT.items()}
 
-        counters = {}
-        make_transport = InprocWorld.transport
+    def test_one_write_per_layer_when_compute_hides_it(self, monkeypatch):
+        """With link latency and backward compute that outlasts one more
+        write, the pipelined schedule keeps the paper's per-layer units."""
+        cfg = TrainConfig(
+            layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
+            dataset_size=16, seed=9, compute_inflation_ns=1_000_000,
+        )
+        latency = LatencyModel(fixed_ns=100_000, per_byte_ns=1.0)
+        per_iter = writes_per_rank_per_iteration(monkeypatch, cfg, latency)
+        per_edge = len(cfg.specs())
+        assert per_iter == {r: n * per_edge for r, n in EDGES_OUT.items()}
 
-        def counting_transport(world, rank):
-            counters[rank] = CountingTransport(make_transport(world, rank))
-            return counters[rank]
 
-        monkeypatch.setattr(InprocWorld, "transport", counting_transport)
+class ScriptedRank:
+    """One rank's training loop cut into single steps a test can interleave.
+
+    ``step`` advances the loop by one action: start an iteration (forward
+    and backward computed up front, which is safe because the backward
+    reads each layer's weights before that layer's turn, and no update can
+    land on a layer before its turn), one ``run_turn``, one finalize
+    ``_comm_pass``, or ending a finished iteration.  ``poll`` is an extra
+    ``_comm_pass`` at any point inside an iteration, even after it is done,
+    which is where early next-iteration traffic shows up.
+    """
+
+    def __init__(self, rank, iterations):
+        self.rank = rank
+        self.iterations = iterations
+        self.k = 0
+        self.turns = None
+
+    @property
+    def finished(self):
+        return self.k == self.iterations
+
+    def poll(self):
+        if self.turns is not None:
+            self.rank._comm_pass()
+
+    def step(self):
+        r = self.rank
+        if self.turns is None:
+            r.begin_iteration(self.k)
+            x, t = r._shard(self.k)
+            _, cache = net.forward(r.specs, r.model_views, x)
+            grads, loss = net.backward_from_cache(r.specs, r.model_views, cache, t)
+            r.losses.append(loss)
+            self.turns = [(l, grads[l]) for l in reversed(range(r.num_layers))]
+        elif self.turns:
+            r.run_turn(*self.turns.pop(0))
+        elif r._iteration_done():
+            r._wait_tickets()
+            self.k += 1
+            self.turns = None
+        else:
+            r._comm_pass()
+
+
+MULTI_LAYER_PLANS = [[(0, 2), (2, 3)], [(0, 1), (1, 3)], [(0, 3)]]
+
+
+class TestDeliveryOrders:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        world_size=st.integers(2, 4),
+        plan=st.sampled_from(MULTI_LAYER_PLANS),
+        speeds=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_interleaving_matches_reference(self, world_size, plan, speeds, seed):
+        """Ranks step or poll in a drawn order until all are finished.
+
+        Each rank gets a drawn speed, so fast ranks run an iteration ahead:
+        over three iterations their next-iteration units land while a slow
+        peer still polls in the current one, on both parities.  None of it
+        may raise or move a bit.
+        """
+        cfg = TrainConfig(
+            layer_dims=(5, 7, 6, 3), world_size=world_size, iterations=3,
+            batch_size=12, dataset_size=24, seed=11, finalize_timeout_s=5.0,
+        )
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
-        run_inproc(cfg, ds)
-        # binomial tree over 4 ranks: 1 -> 0, 2 -> 0, 3 -> 2; a rank writes
-        # its gradient to its parent and the model to each of its children
-        edges_out = {0: 2, 1: 1, 2: 2, 3: 1}
-        per_iter = {r: c.writes / cfg.iterations for r, c in counters.items()}
-        assert per_iter == {r: n * per_edge for r, n in edges_out.items()}
+        world = InprocWorld(world_size)
+        try:
+            with patch.object(runtime, "plan_units", lambda *_args: plan):
+                ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]
+            scripted = [ScriptedRank(r, cfg.iterations) for r in ranks]
+            rnd = random.Random(seed)
+            while not all(s.finished for s in scripted):
+                s = rnd.choices(scripted, speeds[:world_size])[0]
+                if rnd.random() < 0.3:
+                    s.poll()
+                elif not s.finished:
+                    s.step()
+        finally:
+            world.close()
+
+        seen = []
+        reference = sequential_sgd(cfg, ds, on_iteration=lambda k, m, loss: seen.append(loss))
+        assert ranks[0].losses == seen
+        for r in ranks:
+            assert r.units == plan
+            for got, want in zip(r.model_views, reference.layers):
+                assert got.tobytes() == want.tobytes()
