@@ -90,7 +90,9 @@ def build_parser() -> _Parser:
     p.add_argument("--latency-fixed-ns", type=int, help="injected per-message latency")
     p.add_argument("--latency-per-byte-ns", type=float, help="injected per-byte latency")
     p.add_argument(
-        "--compute-inflation-ns", type=int, help="extra sleep per backward layer, for benchmarks"
+        "--compute-inflation-ns",
+        type=int,
+        help="modeled backward compute per layer, during which the rank keeps communicating",
     )
     p.add_argument("--dataset-size", type=int, help="synthetic dataset rows (default 256)")
     p.add_argument("--dataset-csv", help="train from CSV rows x...,t... instead of synthetic data")

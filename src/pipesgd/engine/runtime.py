@@ -25,6 +25,13 @@ communication has become possible, without waiting for anything:
   * freshly arrived model units are installed and forwarded to broadcast
     children.
 
+The same communication pass also runs while a layer's backward compute
+is modeled (``compute_inflation_ns``): the rank polls until that time is
+up instead of sleeping through it, so a unit that lands mid-layer is
+folded, forwarded, applied or relayed at once, not at the next turn, and
+a failed peer surfaces there too.  Under the barrier baseline nothing can
+arrive mid-backward, so those polls find nothing.
+
 After the last turn the rank keeps polling until every unit's gradient
 went up and every updated unit came back.  Under the pipelined schedule
 no barrier runs anywhere in or between iterations; iteration parity keeps
@@ -39,7 +46,8 @@ synchronization the pipelined schedule exists to avoid.
 Weight buffers are safe to overwrite mid-backward because an updated
 unit can only arrive after this rank contributed its own gradient for
 it, and the backward pass reads the unit's old weights for the last time
-while producing exactly that gradient.
+while producing exactly that gradient: it propagates the layer's input
+gradient through the old weights before it emits the layer.
 """
 
 from __future__ import annotations
@@ -66,9 +74,10 @@ _IDLE_SLEEP_S = 2e-5
 # polls, master update call and write ticket.  Measured on rank 0 with
 # `bench/run.py --workload inproc-small --seed 7 --seconds 20 --trace 1`
 # on a 2-vCPU VM while the pipelined schedule still moved one unit per
-# layer: fold + update + post-backward tail took 1.48 ms per iteration
-# over 4 units, 0.45 ms under the barrier baseline's single unit, so
-# about 0.34 ms for each of the 3 extra units.
+# layer and ranks polled only at turn boundaries, not during compute:
+# fold + update + post-backward tail took 1.48 ms per iteration over 4
+# units, 0.45 ms under the barrier baseline's single unit, so about
+# 0.34 ms for each of the 3 extra units.
 _UNIT_COST_NS = 340_000
 
 
@@ -297,8 +306,22 @@ class Rank:
         return self.dataset.take(idx[lo:hi])
 
     def _inflate(self) -> None:
-        if self.cfg.compute_inflation_ns > 0:
-            time.sleep(self.cfg.compute_inflation_ns * 1e-9)
+        """Model one layer's backward compute, communicating while it runs.
+
+        Until ``compute_inflation_ns`` has passed, the rank runs
+        communication passes - folding, forwarding, applying, installing
+        and relaying whatever arrived - and idles only after a pass that
+        consumed nothing, as a host thread drives one-sided writes while
+        an accelerator computes.  No new guard is needed: the backward
+        pass has already read the weights an update may now overwrite,
+        a model unit arrives only after this rank's gradient for it went
+        up, and folds stay gated in child-slot order.  A failed peer
+        raises here instead of at the next turn.
+        """
+        deadline = time.monotonic_ns() + self.cfg.compute_inflation_ns
+        while (left_ns := deadline - time.monotonic_ns()) > 0:
+            if not self._comm_pass():
+                time.sleep(min(_IDLE_SLEEP_S, left_ns * 1e-9))
 
     # Run loop ----------------------------------------------------------------
 

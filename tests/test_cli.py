@@ -1,9 +1,12 @@
 """Command line front end: parsing, config-file merging, exit codes, artifacts."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import pipesgd
 from pipesgd.cli import build_parser, main, options_from_args
 from pipesgd.engine import load_model
 from pipesgd.errors import UsageError
@@ -159,8 +162,12 @@ class TestMain:
         import subprocess
         import sys
 
+        # the child imports the same package this process imported, also
+        # when pytest put src/ on sys.path itself
+        src = str(Path(pipesgd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "pipesgd.cli"] + FAST,
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr

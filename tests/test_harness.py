@@ -154,6 +154,20 @@ class TestTcpFailure:
             assert "RuntimeError: injected fault" in str(info.value)
             assert time.monotonic() - t0 < 5.0
 
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_crash_is_seen_during_modeled_compute(self, monkeypatch, pattern):
+        """Rank 0 keeps polling while its modeled backward compute runs, so a
+        peer that crashed is noticed within an idle poll, not after a
+        0.5 s layer ends."""
+        crash_at(monkeypatch, 3, 0)  # inherited by forked children
+        cfg = small_config(
+            world_size=4, iterations=4, pattern=pattern, compute_inflation_ns=500_000_000
+        )
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="^rank 3 failed:\n"):
+            run_tcp(cfg, build_dataset(cfg))
+        assert time.monotonic() - t0 < 0.25
+
 
     @pytest.mark.parametrize("rank", [1, 3])
     @pytest.mark.parametrize("how,code", [("exit", 1), ("kill", -signal.SIGKILL)])

@@ -1,5 +1,6 @@
 """TCP mesh transport: framing over real sockets, barriers, failure paths."""
 
+import socket
 import threading
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from pipesgd.errors import TransportError
-from pipesgd.transport import LatencyModel, TcpTransport, WriteRequest, bind_listener
+from pipesgd.transport import LatencyModel, TcpTransport, WriteRequest, bind_listener, wire
 
 
 def start_mesh(world_size, latency=None, segment_size=4096, notifications=64):
@@ -156,6 +157,21 @@ class TestFailure:
                 b.notify_poll(0, 1, 8)
                 time.sleep(0.002)
         assert b.segment(0).read(0, 4096) == bytes(4096)
+        close_all([a, b])
+
+    def test_frame_cut_mid_payload_fails_the_receiver(self):
+        """A peer that dies after a frame's header and part of its payload
+        fails the receiver's polls, and the cut write never notifies."""
+        a, b = start_mesh(2)
+        sock = a._peers[1]
+        sock.sendall(wire.pack_write_notify(0, 0, 256, 5, 1) + b"\xab" * 100)
+        sock.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 5
+        with pytest.raises(TransportError, match="mid-frame"):
+            while time.monotonic() < deadline:
+                b.notify_poll(0, 1, 8)
+                time.sleep(0.002)
+        assert b.segment(0).notifications.poll(5, 1) == []
         close_all([a, b])
 
     def test_poll_surfaces_peer_failure_when_idle(self):

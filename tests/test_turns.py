@@ -286,6 +286,39 @@ class TestTraffic:
         assert per_iter == {r: n * per_edge for r, n in EDGES_OUT.items()}
 
 
+class TestProgressDuringCompute:
+    def test_update_lands_inside_the_next_layers_compute(self):
+        """The rank keeps communicating while a layer's backward compute
+        runs.  The child's top-layer gradient arrives about 5 ms after the
+        top layer's turn (more than the ranks' start skew), so the master
+        folds it and applies the update inside the next layer's 20 ms span,
+        not at that layer's turn."""
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 5, 3), world_size=2, iterations=2, batch_size=8,
+            dataset_size=16, seed=11, compute_inflation_ns=20_000_000,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        results = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=5_000_000), record=True)
+        assert results[0].units == [(0, 1), (1, 2), (2, 3)]
+        reference = sequential_sgd(cfg, ds)
+        for r in results:
+            for got, want in zip(r.model, reference.layers):
+                assert got.tobytes() == want.tobytes()
+
+        def span(kind, layer, k):
+            (event,) = [
+                e for e in results[0].events
+                if (e.kind, e.layer, e.iteration) == (kind, layer, k)
+            ]
+            return event
+
+        for k in range(cfg.iterations):
+            compute = span("backward_layer", 1, k)
+            for kind in ("reduce_local", "master_update"):
+                nested = span(kind, 2, k)
+                assert compute.t_start_ns < nested.t_start_ns < compute.t_end_ns, (kind, k)
+
+
 class ScriptedRank:
     """One rank's training loop cut into single steps a test can interleave.
 
