@@ -80,6 +80,3 @@ class Model:
 
     layers: list[np.ndarray]
     iteration: int = 0
-
-    def copy(self) -> "Model":
-        return Model([np.array(l, dtype=np.float64) for l in self.layers], self.iteration)

@@ -2,20 +2,31 @@
 
 A transport exposes remotely writable memory as numbered segments.  Each
 segment owns an array of notification slots.  A write lands first, its
-notification fires after the last payload byte is visible, and polling is
-non-blocking; that happens-before edge is the only synchronization the
-training protocol relies on.
+notification fires after the last payload byte is visible
+(:meth:`Segment.land`), and polling is non-blocking; that happens-before
+edge is the only synchronization the training protocol relies on.
+
+Backends differ only in how a write reaches its peer.  Injected latency
+and in-order delivery per directed link are common to all of them: a
+:class:`DelayedLink` queues a transport's writes to one peer, waits each
+one's modeled flight time and hands it to the backend's delivery callback.
+The sending transport owns its links and stops them on ``close``.  Writes
+are checked on the sending side first (:meth:`TransportBase._source`): a
+closed or failed transport, an unknown destination rank or a bad local
+range raises at once.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ProtocolError, RangeError, TransportError
+from ..errors import ConfigError, ProtocolError, RangeError, RoutingError, TransportError
 
 # segment id reserved for transport-internal control traffic (barrier).
 CONTROL_SEGMENT = 15
@@ -155,6 +166,13 @@ class Segment:
         if n:
             self.data[offset : offset + n] = np.frombuffer(payload, dtype=np.uint8)
 
+    def land(self, req: WriteRequest, payload) -> None:
+        """Deliver one write here: copy its payload, then fire its
+        notification, so a poller that sees the notification sees every
+        payload byte."""
+        self.write(req.remote_offset, payload)
+        self.notifications.fire(req.notification_id, req.notification_value)
+
     def read(self, offset: int, size: int) -> bytes:
         self.check_range(offset, size)
         return self.data[offset : offset + size].tobytes()
@@ -180,6 +198,9 @@ class TransportBase:
         self.latency = latency or LatencyModel()
         self.barrier_calls = 0
         self._segments: dict[int, Segment] = {}
+        # outgoing delayed links by destination rank; close() stops them
+        self._links: dict[int, DelayedLink] = {}
+        self._closing = False
         # first error that broke this endpoint; raised by later calls
         self._failure: Exception | None = None
 
@@ -221,7 +242,7 @@ class TransportBase:
     def notify_reset(self, segment_id: int, notification_id: int) -> int:
         return self.segment(segment_id).notifications.reset(notification_id)
 
-    # -- tickets ------------------------------------------------------------
+    # -- writes -------------------------------------------------------------
     def ticket_wait_all(self, tickets, timeout: float | None = None) -> None:
         """Block until every ticket completes; raises on failure or timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -229,12 +250,79 @@ class TransportBase:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             t.wait(remaining)
 
-    def _validate_request(self, req: WriteRequest) -> Segment:
-        """Checks the local side of a write; returns the source segment."""
+    def _source(self, req: WriteRequest) -> np.ndarray:
+        """Checks the local side of a write; returns its source bytes.
+
+        A write on a closed or failed transport, or to a rank outside the
+        world, raises here, so it never returns a ticket that cannot
+        complete.
+        """
+        if self._closing:
+            raise TransportError(f"rank {self.rank}: transport is closed")
+        self._check_failed()
+        if not (0 <= req.rank < self.world_size):
+            raise RoutingError(f"rank {req.rank} outside world of size {self.world_size}")
         if req.size < 0:
             raise RangeError(f"write size must be >= 0, got {req.size}")
         if req.notification_value == 0:
             raise ProtocolError("notification value 0 is reserved; use values >= 1")
         src = self.segment(req.local_segment)
         src.check_range(req.local_offset, req.size)
-        return src
+        return src.data[req.local_offset : req.local_offset + req.size]
+
+    # -- lifecycle ----------------------------------------------------------
+    def close(self) -> None:
+        """Refuse new writes and stop the outgoing links once their queued
+        writes are delivered.  Call it after this endpoint's last write has
+        returned: a write racing it could start a link that nothing stops."""
+        self._closing = True
+        for link in self._links.values():
+            link.close()
+
+
+class DelayedLink:
+    """FIFO delivery over one directed link, after the modeled flight time.
+
+    One thread per link takes writes in trigger order, sleeps
+    ``latency.delay_seconds(size)`` for each and then calls
+    ``deliver(req, payload)``.  The ticket completes after delivery; if
+    delivery raises, the ticket and the owning transport both fail, so the
+    transport's next write or idle poll raises too.
+    """
+
+    def __init__(
+        self,
+        transport: TransportBase,
+        name: str,
+        deliver: Callable[[WriteRequest, np.ndarray], None],
+    ):
+        self._transport = transport
+        self._deliver = deliver
+        self._queue: queue.Queue = queue.Queue()
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread.start()
+
+    def submit(self, req: WriteRequest, payload: np.ndarray) -> Ticket:
+        ticket = Ticket()
+        self._queue.put((req, payload, ticket))
+        return ticket
+
+    def _run(self) -> None:
+        latency = self._transport.latency
+        while (item := self._queue.get()) is not None:
+            req, payload, ticket = item
+            try:
+                delay = latency.delay_seconds(req.size)
+                if delay > 0:
+                    time.sleep(delay)
+                self._deliver(req, payload)
+                ticket.complete()
+            except Exception as exc:  # surfaced via the transport and the ticket
+                # the transport fails first, so a caller woken by the ticket
+                # already finds it failed
+                self._transport._mark_failed(exc)
+                ticket.fail(exc)
+
+    def close(self) -> None:
+        self._queue.put(None)
+        self._thread.join(timeout=5)

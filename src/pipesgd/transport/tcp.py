@@ -5,25 +5,27 @@ frame naming itself; lower ranks are discovered by accepting and reading
 the hello.  After setup each pair of ranks shares one TCP connection used
 in both directions.
 
-Each peer connection owns two threads on each side: a send worker that
-applies the modeled flight delay and writes frames to the socket in
-trigger order, and a receive loop that applies incoming writes to local
-segments and fires their notifications.  The receiving application thread
-never performs a transport call for a transfer to complete; it only polls
-notification slots.
+Each peer connection owns two threads on each side: the sender's
+:class:`DelayedLink`, which applies the modeled flight delay and writes
+frames to the socket in trigger order, and a receive loop that applies
+incoming writes to local segments and fires their notifications.  The
+receiving application thread never performs a transport call for a
+transfer to complete; it only polls notification slots.  A write to the
+rank itself lands directly in its own segment.
 """
 
 from __future__ import annotations
 
-import queue
+import functools
 import socket
 import threading
 import time
 
-from ..errors import ConfigError, ProtocolError, RoutingError, TransportError
+from ..errors import ConfigError, ProtocolError, TransportError
 from . import wire
 from .base import (
     CONTROL_SEGMENT,
+    DelayedLink,
     LatencyModel,
     Segment,
     Ticket,
@@ -52,8 +54,16 @@ def _recv_into(sock: socket.socket, buf) -> bool:
     return True
 
 
-def _send_frame(sock: socket.socket, header: bytes, payload) -> None:
-    """Send header and payload as one frame, straight from their buffers."""
+def _send_frame(sock: socket.socket, req: WriteRequest, payload) -> None:
+    """Send one write-notify frame, header and payload straight from their
+    buffers."""
+    header = wire.pack_write_notify(
+        req.remote_segment,
+        req.remote_offset,
+        req.size,
+        req.notification_id,
+        req.notification_value,
+    )
     buffers = [memoryview(header), memoryview(payload)]
     while buffers:
         sent = sock.sendmsg(buffers)
@@ -61,42 +71,6 @@ def _send_frame(sock: socket.socket, header: bytes, payload) -> None:
             sent -= len(buffers.pop(0))
         if sent:
             buffers[0] = buffers[0][sent:]
-
-
-class _SendWorker:
-    """Serializes outbound frames for one peer, applying flight delay."""
-
-    def __init__(self, transport: "TcpTransport", peer: int, sock: socket.socket):
-        self._transport = transport
-        self._sock = sock
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._run, name=f"tcp-send-{transport.rank}-{peer}", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, header: bytes, payload, ticket: Ticket) -> None:
-        self._queue.put((header, payload, ticket))
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            header, payload, ticket = item
-            try:
-                delay = self._transport.latency.delay_seconds(len(payload))
-                if delay > 0:
-                    time.sleep(delay)
-                _send_frame(self._sock, header, payload)
-                ticket.complete()
-            except Exception as exc:
-                ticket.fail(exc)
-                self._transport._mark_failed(exc)
-
-    def stop(self) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout=5)
 
 
 class TcpTransport(TransportBase):
@@ -113,12 +87,10 @@ class TcpTransport(TransportBase):
         super().__init__(rank, world_size, latency)
         if world_size > 1 and len(addresses) != world_size:
             raise ConfigError(f"need {world_size} addresses, got {len(addresses)}")
-        self._closing = False
         # peers that closed their side cleanly (EOF on a frame boundary);
         # everything they ever sent has already been applied by then
         self._peers_closed: set[int] = set()
         self._peers: dict[int, socket.socket] = {}
-        self._senders: dict[int, _SendWorker] = {}
         self._recv_threads: list[threading.Thread] = []
         self._barrier_seq = 0
         # control segment for barrier traffic; bypasses segment_create on
@@ -154,7 +126,9 @@ class TcpTransport(TransportBase):
             listener.close()
         for peer, sock in self._peers.items():
             sock.settimeout(None)
-            self._senders[peer] = _SendWorker(self, peer, sock)
+            self._links[peer] = DelayedLink(
+                self, f"tcp-send-{self.rank}-{peer}", functools.partial(_send_frame, sock)
+            )
             t = threading.Thread(
                 target=self._recv_loop,
                 args=(peer, sock),
@@ -191,29 +165,11 @@ class TcpTransport(TransportBase):
 
     # -- one-sided ops ------------------------------------------------------
     def write_notify(self, req: WriteRequest) -> Ticket:
-        self._check_failed()
-        src = self._validate_request(req)
-        view = src.data[req.local_offset : req.local_offset + req.size]
+        payload = self._source(req)
         if req.rank == self.rank:
-            seg = self.segment(req.remote_segment)
-            seg.check_range(req.remote_offset, req.size)
-            if req.size:
-                seg.data[req.remote_offset : req.remote_offset + req.size] = view
-            seg.notifications.fire(req.notification_id, req.notification_value)
+            self.segment(req.remote_segment).land(req, payload)
             return completed_ticket()
-        sender = self._senders.get(req.rank)
-        if sender is None:
-            raise RoutingError(f"rank {req.rank} outside world of size {self.world_size}")
-        header = wire.pack_write_notify(
-            req.remote_segment,
-            req.remote_offset,
-            req.size,
-            req.notification_id,
-            req.notification_value,
-        )
-        ticket = Ticket()
-        sender.submit(header, view, ticket)
-        return ticket
+        return self._links[req.rank].submit(req, payload)
 
     def notify_poll(self, segment_id: int, first_id: int, count: int) -> list[tuple[int, int]]:
         hits = self.segment(segment_id).notifications.poll(first_id, count)
@@ -271,9 +227,7 @@ class TcpTransport(TransportBase):
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        self._closing = True
-        for sender in self._senders.values():
-            sender.stop()
+        super().close()
         for sock in self._peers.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipesgd.buffers import (
-    Model,
     buffer_axpy,
     derived_seed,
     mix64,
@@ -110,11 +109,3 @@ class TestBufferAxpy:
         expected = y + alpha * x
         got = buffer_axpy(alpha, x, y.copy())
         assert np.array_equal(got, expected)
-
-
-def test_model_copy_is_deep():
-    m = Model(layers=[np.zeros(4), np.ones(2)], iteration=3)
-    c = m.copy()
-    c.layers[0][0] = 99.0
-    assert m.layers[0][0] == 0.0
-    assert c.iteration == 3

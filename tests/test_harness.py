@@ -9,6 +9,7 @@ import pytest
 
 from pipesgd import net
 from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
+from pipesgd.engine.layout import SEG_GRAD
 from pipesgd.errors import ConfigError, TransportError, VerificationError
 from pipesgd.harness import (
     BenchOptions,
@@ -22,6 +23,7 @@ from pipesgd.harness import (
     verify_against_reference,
 )
 from pipesgd.timeline import read_timeline_csv
+from pipesgd.transport import wire
 
 
 def small_config(**overrides):
@@ -107,6 +109,44 @@ def die_at(monkeypatch, rank, iteration, how):
     monkeypatch.setattr(Rank, "_train_iteration", die)
 
 
+def crash_after_gradient(monkeypatch, rank, iteration):
+    """Raise right after one rank's gradient write, before its model comes back."""
+    send_gradient = Rank._send_gradient
+
+    def crash(r, unit):
+        send_gradient(r, unit)
+        if r.rank == rank and r.k == iteration:
+            raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(Rank, "_send_gradient", crash)
+
+
+def die_mid_gradient_frame(monkeypatch, rank, iteration):
+    """End one tcp rank's process halfway through its gradient frame: the
+    header and the first 100 payload bytes reach its parent, then
+    ``os._exit(1)``."""
+    send_gradient = Rank._send_gradient
+
+    def cut(r, unit):
+        if r.rank == rank and r.k == iteration:
+            lay = r.layout
+            size = lay.unit_bytes[unit]
+            assert size > 100, "the cut must fall inside the payload"
+            header = wire.pack_write_notify(
+                SEG_GRAD,
+                lay.grad_slot_offset(r.parent_slot, unit, r.parity),
+                size,
+                lay.grad_notif_id(r.parent_slot, unit, r.parity),
+                r.k + 1,
+            )
+            # the link to the parent is idle: last iteration's writes completed
+            r.tr._peers[r.parent].sendall(header + r.seg_work.read(lay.work_grad_offset(unit), 100))
+            os._exit(1)
+        send_gradient(r, unit)
+
+    monkeypatch.setattr(Rank, "_send_gradient", cut)
+
+
 crash_points = pytest.mark.parametrize("rank,iteration", [(0, 0), (0, 2), (3, 0), (3, 2)])
 
 
@@ -132,6 +172,15 @@ class TestInprocFailure:
         with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
             run_inproc(cfg, build_dataset(cfg))
         assert time.monotonic() - t0 < 2.0
+
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_crash_between_gradient_and_model_is_named(self, monkeypatch, pattern):
+        crash_after_gradient(monkeypatch, 3, 2)
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern)
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="^rank 3 failed: injected fault$"):
+            run_inproc(cfg, build_dataset(cfg))
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestTcpFailure:
@@ -168,6 +217,30 @@ class TestTcpFailure:
             run_tcp(cfg, build_dataset(cfg))
         assert time.monotonic() - t0 < 0.25
 
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_crash_between_gradient_and_model_is_named(self, monkeypatch, pattern):
+        """Rank 3's gradient reached its parent, its model never comes back:
+        the parent's later failure is not blamed, rank 3 is."""
+        crash_after_gradient(monkeypatch, 3, 2)  # inherited by forked children
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern)
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="^rank 3 failed:\n") as info:
+            run_tcp(cfg, build_dataset(cfg))
+        assert "RuntimeError: injected fault" in str(info.value)
+        assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_death_mid_frame_is_named(self, monkeypatch, pattern):
+        """A rank that dies inside its gradient frame is named by its exit
+        code, not blamed on the parent whose receive loop saw the cut."""
+        die_mid_gradient_frame(monkeypatch, 3, 2)  # inherited by forked children
+        cfg = small_config(world_size=4, iterations=4, pattern=pattern)
+        t0 = time.monotonic()
+        with pytest.raises(
+            TransportError, match="^rank 3 failed: exited with code 1 without a report$"
+        ):
+            run_tcp(cfg, build_dataset(cfg))
+        assert time.monotonic() - t0 < 1.0
 
     @pytest.mark.parametrize("rank", [1, 3])
     @pytest.mark.parametrize("how,code", [("exit", 1), ("kill", -signal.SIGKILL)])

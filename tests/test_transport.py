@@ -133,11 +133,28 @@ class TestInprocWrites:
         world.close()
 
     def test_remote_range_violation_fails_ticket(self):
+        """A failed delayed delivery fails the ticket and the sender: its
+        next write and its next empty poll raise."""
         world, (a, _b) = make_world(latency=LatencyModel(fixed_ns=1000, per_byte_ns=0))
         ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 255, 16, 1, 1))
         with pytest.raises(TransportError):
             ticket.wait(1.0)
+        with pytest.raises(TransportError, match="outside segment 0"):
+            a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1))
+        with pytest.raises(TransportError, match="outside segment 0"):
+            a.notify_poll(0, 1, 8)
         world.close()
+
+    @pytest.mark.parametrize("latency", [None, LatencyModel(fixed_ns=1_000_000)])
+    def test_write_after_close_raises(self, latency):
+        """A closed world's transports refuse writes at once, whether or not
+        a link to the peer was running."""
+        world, (a, b) = make_world(latency=latency)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1)).wait(1.0)
+        world.close()
+        with pytest.raises(TransportError, match="closed"):
+            a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1))
+        assert b.notify_poll(0, 1, 8) == [(1, 1)]
 
     def test_duplicate_segment_rejected(self):
         world, (a, _b) = make_world()

@@ -184,6 +184,17 @@ class TestFailure:
                 time.sleep(0.002)
         a.close()
 
+    @pytest.mark.parametrize("latency", [None, LatencyModel(fixed_ns=1_000_000)])
+    def test_write_after_close_raises(self, latency):
+        """A closed endpoint refuses writes at once, to peers and to itself,
+        instead of returning a ticket that never completes."""
+        a, b = start_mesh(2, latency)
+        a.close()
+        for dest in (1, 0):
+            with pytest.raises(TransportError, match="closed"):
+                a.write_notify(WriteRequest(0, 0, dest, 0, 0, 16, 1, 1))
+        b.close()
+
     def test_clean_close_is_not_a_failure(self):
         a, b = start_mesh(2)
         close_all([a, b])
