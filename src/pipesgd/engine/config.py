@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
@@ -65,6 +66,8 @@ class TrainConfig:
             raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.compute_inflation_ns < 0:
             raise ConfigError("compute_inflation_ns must be >= 0")
+        if not math.isfinite(self.input_scale):
+            raise ConfigError(f"input_scale must be finite, got {self.input_scale}")
         if self.dataset_size < 1:
             raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
         if not self.finalize_timeout_s > 0.0:
@@ -74,10 +77,6 @@ class TrainConfig:
 
     def specs(self) -> list[DenseLayerSpec]:
         return specs_from_dims(self.layer_dims)
-
-    @property
-    def shard_size(self) -> int:
-        return self.batch_size // self.world_size
 
     def replace(self, **overrides) -> "TrainConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}

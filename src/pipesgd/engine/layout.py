@@ -5,25 +5,25 @@ ranges that move as one transfer.  The engine passes one entry per unit -
 under the pipelined schedule, one per layer or a single whole-model entry
 as the compute and link model plans them (``runtime.plan_units``); under
 the barrier baseline, a single whole-model entry.  Every rank registers the
-same three segments:
+same two segments:
 
   SEG_WORK   private working memory: [model units][gradient units].
              Remote writes never land here; it is the local source for
              all outgoing transfers, so payloads go on the wire without
              staging copies.
-  SEG_MODEL  receive slots for model updates from the broadcast parent,
-             double-buffered by iteration parity: [parity 0][parity 1],
-             each holding all units back to back.
-  SEG_GRAD   receive slots for child gradient contributions, laid out as
-             [child slot][parity][unit].  Only ranks with reduction
-             children register a non-trivial instance.
+  SEG_RECV   receive slots, laid out as [slot][parity][unit] and
+             double-buffered by iteration parity.  A rank with C
+             reduction children has 1 + C slots: slot 0 holds the model
+             update from the broadcast parent, slot 1 + c the gradient of
+             child c.  Each slot has one writer, so the slot of an
+             arriving write says what it carries.
 
 Each transfer is one notify-write with one notification id.  Ids are
-dense: with U units, the model update of (unit, parity) carries
-1 + unit*2 + parity and the gradient of (child slot, unit, parity)
-carries 1 + (slot*U + unit)*2 + parity.  Id 0 is never assigned, every
-other id below the notification count is, and :meth:`decode` maps an id
-of either segment back to its (slot, unit, parity).
+dense: with U units, (slot, unit, parity) carries
+1 + (slot*U + unit)*2 + parity.  Id 0 is never assigned, every other id
+below :meth:`notif_count` is, and :meth:`decode` maps an id back to its
+(slot, unit, parity), so one poll over the whole id range sees every
+receive.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import itertools
 from ..errors import ConfigError
 
 SEG_WORK = 0
-SEG_MODEL = 1
-SEG_GRAD = 2
+SEG_RECV = 1
 
 _FLOAT_BYTES = 8
 
@@ -54,7 +53,7 @@ class SegmentLayout:
         self.total_params = sum(param_counts)
 
     def decode(self, notification_id: int) -> tuple[int, int, int]:
-        """(child slot, unit, parity) of an assigned id; slot is 0 for model ids."""
+        """(receive slot, unit, parity) of an assigned id."""
         slot, unit = divmod((notification_id - 1) >> 1, self.num_units)
         return slot, unit, (notification_id - 1) & 1
 
@@ -70,32 +69,16 @@ class SegmentLayout:
     def work_grad_offset(self, unit: int) -> int:
         return self.total_bytes + self.unit_offsets[unit]
 
-    # SEG_MODEL -----------------------------------------------------------
+    # SEG_RECV ------------------------------------------------------------
 
-    @property
-    def model_rx_size(self) -> int:
-        return 2 * self.total_bytes
+    def rx_size(self, slots: int) -> int:
+        return slots * 2 * self.total_bytes
 
-    def model_slot_offset(self, unit: int, parity: int) -> int:
-        return parity * self.total_bytes + self.unit_offsets[unit]
+    def rx_offset(self, slot: int, unit: int, parity: int) -> int:
+        return (slot * 2 + parity) * self.total_bytes + self.unit_offsets[unit]
 
-    def model_notif_id(self, unit: int, parity: int) -> int:
-        return 1 + unit * 2 + parity
+    def notif_id(self, slot: int, unit: int, parity: int) -> int:
+        return 1 + (slot * self.num_units + unit) * 2 + parity
 
-    @property
-    def model_notif_count(self) -> int:
-        return 1 + self.num_units * 2
-
-    # SEG_GRAD ------------------------------------------------------------
-
-    def grad_rx_size(self, num_children: int) -> int:
-        return max(1, num_children) * 2 * self.total_bytes
-
-    def grad_slot_offset(self, child_slot: int, unit: int, parity: int) -> int:
-        return (child_slot * 2 + parity) * self.total_bytes + self.unit_offsets[unit]
-
-    def grad_notif_id(self, child_slot: int, unit: int, parity: int) -> int:
-        return 1 + (child_slot * self.num_units + unit) * 2 + parity
-
-    def grad_notif_count(self, num_children: int) -> int:
-        return 1 + max(1, num_children) * self.num_units * 2
+    def notif_count(self, slots: int) -> int:
+        return 1 + slots * self.num_units * 2

@@ -1,9 +1,12 @@
 """Turn-based data-parallel SGD for both communication schedules.
 
-A rank owns three segments (see :mod:`.layout`), works on float64 views
-into them, and talks to its tree neighbours through one-sided
-notify-writes.  Model and gradient move in *transfer units*: contiguous
-``[first, stop)`` layer ranges.  The barrier baseline moves one
+A rank owns two segments (see :mod:`.layout`): private working memory
+and one receive segment, whose slot 0 takes the broadcast parent's model
+and slot 1 + c child c's gradient.  It works on float64 views into them,
+talks to its tree neighbours through one-sided notify-writes, and sees
+every arrival through one notification poll per communication pass.
+Model and gradient move in *transfer units*: contiguous ``[first,
+stop)`` layer ranges.  The barrier baseline moves one
 whole-model unit.  The pipelined schedule plans its units from the
 compute and link model (:func:`plan_units`): one unit per layer when the
 backward compute of the next layer can hide one more write, one
@@ -65,7 +68,7 @@ from ..timeline import Recorder, TimelineEvent
 from ..topology import build_reduction_tree
 from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
-from .layout import SEG_GRAD, SEG_MODEL, SEG_WORK, SegmentLayout
+from .layout import SEG_RECV, SEG_WORK, SegmentLayout
 from .sgd import batch_indices, master_update, shard_bounds
 
 _IDLE_SLEEP_S = 2e-5
@@ -173,19 +176,17 @@ class Rank:
         self.children = tree.children[self.rank]
         self.parent = tree.parent.get(self.rank)
         self.is_master = self.rank == 0
-        # this rank's slot index in its parent's child list
+        # this rank's receive slot in its parent's SEG_RECV: 1 + its index
+        # in the parent's child list
         self.parent_slot = (
-            None if self.parent is None else tree.children[self.parent].index(self.rank)
+            None if self.parent is None else 1 + tree.children[self.parent].index(self.rank)
         )
 
         lay = self.layout
+        slots = 1 + len(self.children)
         self.seg_work = transport.segment_create(SEG_WORK, lay.work_size, 1)
-        self.seg_model = transport.segment_create(
-            SEG_MODEL, lay.model_rx_size, lay.model_notif_count
-        )
-        nc = len(self.children)
-        self.seg_grad = transport.segment_create(
-            SEG_GRAD, lay.grad_rx_size(nc), lay.grad_notif_count(nc)
+        self.seg_recv = transport.segment_create(
+            SEG_RECV, lay.rx_size(slots), lay.notif_count(slots)
         )
 
         model_region = self.seg_work.view_f64(0, lay.total_params)
@@ -200,8 +201,7 @@ class Rank:
             self.model_views[l][:] = start.layers[l]
 
         # every id in [1, count) is assigned, so polls cover exactly that span
-        self._grad_poll_ids = lay.grad_notif_count(nc) - 1
-        self._model_poll_ids = lay.model_notif_count - 1
+        self._poll_ids = lay.notif_count(slots) - 1
         self.losses: list[float] = []
         self.fold_counts = [0] * self.num_layers
         # (kind, iteration, label, trigger time, ticket) per outgoing write
@@ -211,13 +211,9 @@ class Rank:
 
     # Receive-slot views ---------------------------------------------------
 
-    def _grad_rx(self, slot: int, unit: int, parity: int) -> np.ndarray:
-        off = self.layout.grad_slot_offset(slot, unit, parity)
-        return self.seg_grad.view_f64(off, self.layout.param_counts[unit])
-
-    def _model_rx(self, unit: int, parity: int) -> np.ndarray:
-        off = self.layout.model_slot_offset(unit, parity)
-        return self.seg_model.view_f64(off, self.layout.param_counts[unit])
+    def _rx(self, slot: int, unit: int, parity: int) -> np.ndarray:
+        off = self.layout.rx_offset(slot, unit, parity)
+        return self.seg_recv.view_f64(off, self.layout.param_counts[unit])
 
     # Event recording ------------------------------------------------------
 
@@ -227,62 +223,39 @@ class Rank:
 
     # Sending ---------------------------------------------------------------
 
-    def _send(
-        self,
-        dest_rank: int,
-        remote_segment: int,
-        remote_offset: int,
-        local_offset: int,
-        unit: int,
-        notification_id: int,
-        kind: str,
-    ) -> None:
-        """One notify-write of one unit's SEG_WORK bytes to one destination.
+    def _send(self, dest_rank: int, slot: int, unit: int, local_offset: int, kind: str) -> None:
+        """One notify-write of one unit's SEG_WORK bytes into one receive
+        slot of one destination.
 
         The whole unit moves as a single write with a single notification
         whose value is iteration+1, so receivers can tell live data from
         leftovers (value 0 means "never fired").  The flight is timed from
         here to the completion of the write's ticket.
         """
+        lay = self.layout
         t0 = time.monotonic_ns()
         ticket = self.tr.write_notify(
             WriteRequest(
                 local_segment=SEG_WORK,
                 local_offset=local_offset,
                 rank=dest_rank,
-                remote_segment=remote_segment,
-                remote_offset=remote_offset,
-                size=self.layout.unit_bytes[unit],
-                notification_id=notification_id,
+                remote_segment=SEG_RECV,
+                remote_offset=lay.rx_offset(slot, unit, self.parity),
+                size=lay.unit_bytes[unit],
+                notification_id=lay.notif_id(slot, unit, self.parity),
                 notification_value=self.k + 1,
             )
         )
         self._flights.append((kind, self.k, self._labels[unit], t0, ticket))
 
     def _send_gradient(self, unit: int) -> None:
-        lay = self.layout
-        self._send(
-            self.parent,
-            SEG_GRAD,
-            lay.grad_slot_offset(self.parent_slot, unit, self.parity),
-            lay.work_grad_offset(unit),
-            unit,
-            lay.grad_notif_id(self.parent_slot, unit, self.parity),
-            "send_trigger",
-        )
+        offset = self.layout.work_grad_offset(unit)
+        self._send(self.parent, self.parent_slot, unit, offset, "send_trigger")
 
     def _send_model(self, unit: int) -> None:
-        lay = self.layout
+        offset = self.layout.work_model_offset(unit)
         for child in self.children:
-            self._send(
-                child,
-                SEG_MODEL,
-                lay.model_slot_offset(unit, self.parity),
-                lay.work_model_offset(unit),
-                unit,
-                lay.model_notif_id(unit, self.parity),
-                "model_forward",
-            )
+            self._send(child, 0, unit, offset, "model_forward")
 
     def _wait_tickets(self) -> None:
         """Drain this iteration's outgoing writes and time their flights.
@@ -428,49 +401,50 @@ class Rank:
             self._record("master_update", layer, t0, time.monotonic_ns())
 
     def _comm_pass(self) -> bool:
-        """One non-blocking sweep over both receive segments.
+        """One non-blocking poll of the receive segment, then the work it enables.
 
-        Returns True when at least one notification was consumed, which is
-        the liveness signal the finalize watchdog feeds on.
+        Child gradients (slots >= 1) are recorded first, then folded, then
+        arrived model units (slot 0) are installed.  A rank without
+        neighbours never polls.  Returns True when at least one
+        notification was consumed, which is the liveness signal the
+        finalize watchdog feeds on.
         """
         t_pass = time.monotonic_ns()
         st = self.state
-        progressed = False
-        if self.children:
-            for slot, unit in self._consume(SEG_GRAD, self._grad_poll_ids):
-                progressed = True
-                if slot in st.child_arrived[unit]:
-                    raise ProtocolError(
-                        f"rank {self.rank}: duplicate gradient from child slot {slot} "
-                        f"for unit {unit}"
-                    )
-                st.child_arrived[unit].add(slot)
-                self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
+        arrivals = self._consume() if self.cfg.world_size > 1 else []
         arrived_models: list[int] = []
-        if self.parent is not None:
-            for _slot, unit in self._consume(SEG_MODEL, self._model_poll_ids):
-                progressed = True
+        for slot, unit in arrivals:
+            if slot == 0:
                 arrived_models.append(unit)
+                continue
+            child = slot - 1
+            if child in st.child_arrived[unit]:
+                raise ProtocolError(
+                    f"rank {self.rank}: duplicate gradient from child slot {child} "
+                    f"for unit {unit}"
+                )
+            st.child_arrived[unit].add(child)
+            self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
         self._advance_folds()
         for unit in sorted(arrived_models):
             self._handle_model_arrival(unit, t_pass)
-        return progressed
+        return bool(arrivals)
 
     def _advance_folds(self) -> None:
         """Fold arrived child data and forward every unit that became complete.
 
-        Child slot c for unit u folds only after slots 0..c-1 folded; a
-        unit goes up (or, on the master, into the update) only when its
-        local gradient is published and all child slots are folded.
+        Child c's gradient for unit u folds only after those of children
+        0..c-1; a unit goes up (or, on the master, into the update) only
+        when its local gradient is published and all children are folded.
         """
         st = self.state
         for unit, (first, stop) in enumerate(self.units):
             if not st.local_gradient_ready[unit] or st.gradient_forwarded[unit]:
                 continue
             while st.next_fold[unit] in st.child_arrived[unit]:
-                slot = st.next_fold[unit]
+                child = st.next_fold[unit]
                 t0 = time.monotonic_ns()
-                buffer_axpy(1.0, self._grad_rx(slot, unit, self.parity), self.unit_grad_views[unit])
+                buffer_axpy(1.0, self._rx(1 + child, unit, self.parity), self.unit_grad_views[unit])
                 self._record("reduce_local", self._labels[unit], t0, time.monotonic_ns())
                 for layer in range(first, stop):
                     self.fold_counts[layer] += 1
@@ -498,7 +472,7 @@ class Rank:
                 "gradient contribution went up"
             )
         self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
-        self.unit_model_views[unit][:] = self._model_rx(unit, self.parity)
+        self.unit_model_views[unit][:] = self._rx(0, unit, self.parity)
         self._send_model(unit)
         st.model_arrived[unit] = True
 
@@ -520,15 +494,15 @@ class Rank:
 
     # Notification consumption -------------------------------------------------
 
-    def _consume(self, segment_id: int, num_ids: int) -> list[tuple[int, int]]:
-        """Consume current-iteration notifications on one segment.
+    def _consume(self) -> list[tuple[int, int]]:
+        """Consume current-iteration notifications on the receive segment.
 
-        Polls ids [1, 1 + num_ids) and returns the (slot, unit) of each
+        Polls every assigned id and returns the (slot, unit) of each
         consumed notification.  Traffic for iteration k+1 (value k+2 on
         opposite-parity ids) is left in place for the next iteration;
         anything else unexpected is a protocol violation and raises.
         """
-        hits = self.tr.notify_poll(segment_id, 1, num_ids)
+        hits = self.tr.notify_poll(SEG_RECV, 1, self._poll_ids)
         out = []
         for nid, value in hits:
             slot, unit, parity = self.layout.decode(nid)
@@ -539,6 +513,6 @@ class Rank:
                     f"rank {self.rank}: iteration {self.k} saw notification value "
                     f"{value} on id {nid} (parity {parity})"
                 )
-            self.tr.notify_reset(segment_id, nid)
+            self.tr.notify_reset(SEG_RECV, nid)
             out.append((slot, unit))
         return out

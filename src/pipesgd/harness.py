@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import multiprocessing.connection
+import os
 import queue
 import socket
 import time
@@ -299,10 +300,8 @@ def build_dataset(config: TrainConfig, dataset_csv: str | None = None) -> net.Da
 def _pattern_path(path: str, pattern: str, multiple: bool) -> str:
     if not multiple:
         return path
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}.{pattern}"
-    return f"{stem}.{pattern}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{pattern}{ext}"
 
 
 def run_pattern(

@@ -31,7 +31,8 @@ class Tree:
     children: dict[int, list[int]]
 
 
-def _binomial_tree(world_size: int) -> Tree:
+def build_reduction_tree(world_size: int) -> Tree:
+    """Tree along which gradients are summed toward rank 0 and the model fans back out."""
     if world_size < 1:
         raise TreeError(f"world size must be >= 1, got {world_size}")
     parent: dict[int, int] = {}
@@ -45,14 +46,7 @@ def _binomial_tree(world_size: int) -> Tree:
     return Tree(world_size=world_size, root=0, parent=parent, children=children)
 
 
-def build_reduction_tree(world_size: int) -> Tree:
-    """Tree along which partial gradients are summed toward rank 0."""
-    return _binomial_tree(world_size)
-
-
-def build_broadcast_tree(world_size: int) -> Tree:
-    """Tree along which the updated model fans out from rank 0."""
-    return _binomial_tree(world_size)
+build_broadcast_tree = build_reduction_tree
 
 
 def depth(tree: Tree) -> int:

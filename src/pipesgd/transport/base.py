@@ -18,6 +18,7 @@ range raises at once.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -38,6 +39,10 @@ class LatencyModel:
 
     fixed_ns: int = 0
     per_byte_ns: float = 0.0
+
+    def __post_init__(self):
+        if not (0 <= self.fixed_ns < math.inf and 0 <= self.per_byte_ns < math.inf):
+            raise ConfigError(f"latency must be finite and >= 0, got {self}")
 
     def delay_seconds(self, size_bytes: int) -> float:
         return (self.fixed_ns + size_bytes * self.per_byte_ns) * 1e-9

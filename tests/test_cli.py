@@ -136,6 +136,20 @@ class TestMain:
         assert main(["--ranks", "3", "--batch", "8"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--latency-fixed-ns", "-5000000"],
+            ["--latency-per-byte-ns", "nan"],
+            ["--latency-per-byte-ns", "-1"],
+            ["--input-scale", "nan"],
+            ["--input-scale", "inf"],
+        ],
+    )
+    def test_unrepresentable_values_exit_one(self, flags, capsys):
+        assert main(FAST + flags) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_dataset_csv_exit_one(self, capsys):
         assert main(FAST + ["--dataset-csv", "/nonexistent/data.csv"]) == 1
         assert "error:" in capsys.readouterr().err

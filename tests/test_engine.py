@@ -28,7 +28,8 @@ from pipesgd.topology import build_reduction_tree
 class TestTrainConfig:
     def test_defaults_validate(self):
         cfg = TrainConfig()
-        assert cfg.shard_size * cfg.world_size == cfg.batch_size
+        cfg.validate()
+        assert cfg.batch_size % cfg.world_size == 0
 
     def test_replace_returns_new_validated_config(self):
         cfg = TrainConfig()
@@ -54,6 +55,9 @@ class TestTrainConfig:
             {"seed": -1},
             {"seed": 1 << 64},
             {"iterations": 2**31 - 1},  # tcp barrier sequence would overflow u32
+            {"input_scale": float("nan")},
+            {"input_scale": float("inf")},
+            {"input_scale": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -76,51 +80,25 @@ class TestSegmentLayout:
         assert lay.work_model_offset(2) == 112
         assert lay.work_grad_offset(0) == 160
 
-    def test_model_slots_are_parity_disjoint(self):
-        lay = SegmentLayout([10, 4])
-        spans = []
-        for p in (0, 1):
-            for u in (0, 1):
-                off = lay.model_slot_offset(u, p)
-                spans.append((off, off + lay.unit_bytes[u]))
-        spans.sort()
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            assert a1 <= b0
-        assert spans[-1][1] == lay.model_rx_size
-
-    def test_grad_slots_cover_child_and_parity(self):
-        lay = SegmentLayout([6, 2])
-        assert lay.grad_rx_size(3) == 3 * 2 * 64
-        seen = set()
-        for slot in range(3):
-            for p in (0, 1):
-                for u in (0, 1):
-                    off = lay.grad_slot_offset(slot, u, p)
-                    span = (off, off + lay.unit_bytes[u])
-                    assert span not in seen
-                    seen.add(span)
-
-    @pytest.mark.parametrize("counts", [[3], [100, 1, 50], [7, 7, 7, 7]])
-    def test_gradient_notification_ids_never_collide(self, counts):
-        """Every (slot, unit, parity) id is distinct, the ids fill
-        [1, count) with id 0 reserved, and each decodes back."""
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4])
+    @pytest.mark.parametrize("counts", [[3], [10, 4], [100, 1, 50], [7, 7, 7, 7]])
+    def test_receive_slots_and_ids(self, slots, counts):
+        """Every (slot, unit, parity) byte span is disjoint and inside
+        rx_size; the ids fill [1, count) with id 0 reserved, and each
+        decodes back to its (slot, unit, parity)."""
         lay = SegmentLayout(counts)
-        num_children = 3
-        ids = {}
-        for slot in range(num_children):
-            for u in range(lay.num_units):
-                for p in (0, 1):
-                    ids[lay.grad_notif_id(slot, u, p)] = (slot, u, p)
-        assert sorted(ids) == list(range(1, lay.grad_notif_count(num_children)))
-        assert all(lay.decode(nid) == key for nid, key in ids.items())
-
-    def test_model_notification_ids_never_collide(self):
-        lay = SegmentLayout([100, 1, 50])
-        ids = {}
-        for u in range(lay.num_units):
-            for p in (0, 1):
-                ids[lay.model_notif_id(u, p)] = (0, u, p)
-        assert sorted(ids) == list(range(1, lay.model_notif_count))
+        keys = [
+            (slot, u, p) for slot in range(slots) for u in range(lay.num_units) for p in (0, 1)
+        ]
+        spans = sorted(
+            (lay.rx_offset(*key), lay.rx_offset(*key) + lay.unit_bytes[key[1]]) for key in keys
+        )
+        for (_, a1), (b0, _) in zip(spans, spans[1:]):
+            assert a1 <= b0
+        assert spans[0][0] == 0
+        assert spans[-1][1] == lay.rx_size(slots) == slots * 2 * lay.total_bytes
+        ids = {lay.notif_id(*key): key for key in keys}
+        assert sorted(ids) == list(range(1, lay.notif_count(slots)))
         assert all(lay.decode(nid) == key for nid, key in ids.items())
 
     @pytest.mark.parametrize("bad", [[], [0], [5, -1]])

@@ -9,7 +9,7 @@ import pytest
 
 from pipesgd import net
 from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
-from pipesgd.engine.layout import SEG_GRAD
+from pipesgd.engine.layout import SEG_RECV
 from pipesgd.errors import ConfigError, TransportError, VerificationError
 from pipesgd.harness import (
     BenchOptions,
@@ -64,6 +64,10 @@ class TestPatternPath:
 
     def test_extensionless_path_gets_suffix(self):
         assert _pattern_path("timeline", "pipelined", True) == "timeline.pipelined"
+
+    def test_dot_in_directory_is_not_an_extension(self):
+        assert _pattern_path("runs.v2/timeline", "pipelined", True) == "runs.v2/timeline.pipelined"
+        assert _pattern_path("runs.v2/t.csv", "barrier", True) == "runs.v2/t.barrier.csv"
 
 
 class TestVerification:
@@ -133,10 +137,10 @@ def die_mid_gradient_frame(monkeypatch, rank, iteration):
             size = lay.unit_bytes[unit]
             assert size > 100, "the cut must fall inside the payload"
             header = wire.pack_write_notify(
-                SEG_GRAD,
-                lay.grad_slot_offset(r.parent_slot, unit, r.parity),
+                SEG_RECV,
+                lay.rx_offset(r.parent_slot, unit, r.parity),
                 size,
-                lay.grad_notif_id(r.parent_slot, unit, r.parity),
+                lay.notif_id(r.parent_slot, unit, r.parity),
                 r.k + 1,
             )
             # the link to the parent is idle: last iteration's writes completed

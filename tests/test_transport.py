@@ -170,6 +170,20 @@ class TestInprocWrites:
 
 
 class TestLatency:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"fixed_ns": -1},
+            {"per_byte_ns": -0.5},
+            {"per_byte_ns": float("nan")},
+            {"per_byte_ns": float("inf")},
+            {"fixed_ns": float("nan")},
+        ],
+    )
+    def test_rejects_negative_or_non_finite(self, fields):
+        with pytest.raises(ConfigError, match="latency"):
+            LatencyModel(**fields)
+
     def test_fixed_delay_is_applied(self):
         world, (a, b) = make_world(latency=LatencyModel(fixed_ns=20_000_000, per_byte_ns=0))
         t0 = time.monotonic_ns()

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipesgd import net
-from pipesgd.engine import SEG_GRAD, SEG_MODEL, Rank, TrainConfig, runtime, sequential_sgd
+from pipesgd.engine import SEG_RECV, Rank, TrainConfig, runtime, sequential_sgd
 from pipesgd.engine.runtime import plan_units
-from pipesgd.errors import ProtocolError
+from pipesgd.errors import ProtocolError, RangeError
 from pipesgd.harness import run_inproc
 from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
 
@@ -100,12 +100,12 @@ class TestLeafTurn:
         r1.begin_iteration(0)
         g1 = grad(r1, 2.5)
         r1.run_turn(0, g1)
-        # the bytes are already in rank 0's gradient segment, with the
+        # the bytes are already in rank 0's child-0 receive slot, with the
         # notification pending: one-sided, nothing on rank 0 ran yet
         lay = r0.layout
-        assert r0._grad_rx(0, 0, 0).tolist() == g1.tolist()
-        nid = lay.grad_notif_id(0, 0, 0)
-        assert r0.tr.notify_poll(SEG_GRAD, nid, 1) == [(nid, 1)]
+        assert r0._rx(1, 0, 0).tolist() == g1.tolist()
+        nid = lay.notif_id(1, 0, 0)
+        assert r0.tr.notify_poll(SEG_RECV, nid, 1) == [(nid, 1)]
         assert r1.state.gradient_forwarded[0]
 
     def test_fold_waits_for_local_gradient(self, make_ranks):
@@ -178,9 +178,9 @@ class TestProtocolViolations:
         r0.begin_iteration(0)
         lay = r0.layout
         r1.tr.write_notify(WriteRequest(
-            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_GRAD,
-            remote_offset=lay.grad_slot_offset(0, 0, 0), size=8,
-            notification_id=lay.grad_notif_id(0, 0, 0), notification_value=7,
+            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.rx_offset(1, 0, 0), size=8,
+            notification_id=lay.notif_id(1, 0, 0), notification_value=7,
         ))
         with pytest.raises(ProtocolError, match="notification value"):
             r0._comm_pass()
@@ -190,15 +190,15 @@ class TestProtocolViolations:
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         lay = r0.layout
-        nid = lay.grad_notif_id(0, 0, 1)  # parity-1 slot
+        nid = lay.notif_id(1, 0, 1)  # parity-1 slot
         r1.tr.write_notify(WriteRequest(
-            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_GRAD,
-            remote_offset=lay.grad_slot_offset(0, 0, 1), size=8,
+            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.rx_offset(1, 0, 1), size=8,
             notification_id=nid, notification_value=2,
         ))
         assert r0._comm_pass() is False
         # still pending, untouched, for iteration 1 to consume
-        assert r0.tr.notify_poll(SEG_GRAD, nid, 1) == [(nid, 2)]
+        assert r0.tr.notify_poll(SEG_RECV, nid, 1) == [(nid, 2)]
 
     def test_model_before_own_contribution_raises(self, make_ranks):
         _, _, (r0, r1) = make_ranks(2)
@@ -207,6 +207,62 @@ class TestProtocolViolations:
         r0._send_model(0)  # master jumps the gun
         with pytest.raises(ProtocolError, match="before this rank's"):
             r1._comm_pass()
+
+    def test_model_write_to_the_master_raises(self, make_ranks):
+        """The master has no broadcast parent, so anything in its slot 0
+        is a protocol violation, seen at its next pass."""
+        _, _, (r0, r1) = make_ranks(2)
+        r0.begin_iteration(0)
+        r1.begin_iteration(0)
+        lay = r1.layout
+        r1.tr.write_notify(WriteRequest(
+            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.rx_offset(0, 0, 0), size=lay.unit_bytes[0],
+            notification_id=lay.notif_id(0, 0, 0), notification_value=1,
+        ))
+        with pytest.raises(ProtocolError, match="model unit 0 arrived before"):
+            r0._comm_pass()
+
+    def test_gradient_write_to_a_leaf_raises(self, make_ranks):
+        """A leaf has only its model slot; a gradient aimed at it fails the
+        range check instead of landing in unused memory."""
+        _, _, (r0, r1) = make_ranks(2)
+        assert r1.seg_recv.size == r1.layout.rx_size(1)
+        lay = r0.layout
+        with pytest.raises(RangeError):
+            r0.tr.write_notify(WriteRequest(
+                local_segment=0, local_offset=0, rank=1, remote_segment=SEG_RECV,
+                remote_offset=lay.rx_offset(1, 0, 0), size=lay.unit_bytes[0],
+                notification_id=lay.notif_id(1, 0, 0), notification_value=1,
+            ))
+
+
+class TestReceiveSegment:
+    def test_slots_follow_the_tree(self, make_ranks):
+        """One model slot per rank plus one slot per reduction child: over
+        4 ranks, 3 on rank 0, 2 on rank 2, 1 on the leaves 1 and 3."""
+        _, _, ranks = make_ranks(4)
+        assert [r.seg_recv.size for r in ranks] == [
+            r.layout.rx_size(slots) for r, slots in zip(ranks, [3, 1, 2, 1])
+        ]
+        assert [r.parent_slot for r in ranks] == [None, 1, 2, 1]
+
+    def test_one_poll_per_pass(self):
+        """An interior rank sees model and child traffic through one poll."""
+        cfg = TrainConfig(
+            layer_dims=(4, 3), world_size=4, iterations=1,
+            batch_size=8, dataset_size=16, seed=7,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        world = InprocWorld(4)
+        try:
+            tr = CountingTransport(world.transport(2))
+            r2 = Rank(cfg, ds, tr)
+            r2.begin_iteration(0)
+            r2._comm_pass()
+            assert tr.polls == 1
+        finally:
+            world.close()
 
 
 class TestCrossIteration:
