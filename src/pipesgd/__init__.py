@@ -42,7 +42,7 @@ from .harness import (
     verify_against_reference,
 )
 from .net import Dataset, DenseLayerSpec, forward, init_model, make_synthetic_dataset
-from .timeline import Recorder, RunMetrics, TimelineEvent, compute_overlap
+from .timeline import RunMetrics, TimelineEvent, compute_overlap
 from .topology import build_broadcast_tree, build_reduction_tree, tree_check
 from .transport import (
     CONTROL_SEGMENT,
@@ -75,7 +75,6 @@ __all__ = [
     "RangeError",
     "Rank",
     "RankResult",
-    "Recorder",
     "RoutingError",
     "RunMetrics",
     "ShapeError",

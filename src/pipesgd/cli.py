@@ -24,30 +24,21 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .harness import BenchOptions, run_benchmark
+from .harness import LAUNCHERS, BenchOptions, run_benchmark
 from .transport.base import LatencyModel
 
-_CONFIG_KEYS = (
-    "ranks",
-    "iters",
-    "batch",
-    "epsilon",
-    "seed",
-    "layers",
-    "pattern",
-    "transport",
-    "hosts",
-    "latency_fixed_ns",
-    "latency_per_byte_ns",
-    "compute_inflation_ns",
-    "dataset_size",
-    "dataset_csv",
-    "input_scale",
-    "timeline",
-    "checkpoint",
-    "metrics",
-    "verify_oracle",
-)
+# flag dest -> TrainConfig field, for the options that shape the training run
+_TRAIN_FIELDS = {
+    "ranks": "world_size",
+    "iters": "iterations",
+    "batch": "batch_size",
+    "epsilon": "epsilon",
+    "seed": "seed",
+    "layers": "layer_dims",
+    "compute_inflation_ns": "compute_inflation_ns",
+    "dataset_size": "dataset_size",
+    "input_scale": "input_scale",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,10 +74,7 @@ def build_parser() -> _Parser:
         choices=["pipelined", "barrier", "both"],
         help="communication pattern to run (default pipelined)",
     )
-    p.add_argument(
-        "--transport", choices=["inproc", "tcp"], help="rank transport (default inproc)"
-    )
-    p.add_argument("--hosts", help="comma-separated listen host per rank (loopback only)")
+    p.add_argument("--transport", choices=list(LAUNCHERS), help="rank transport (default inproc)")
     p.add_argument("--latency-fixed-ns", type=int, help="injected per-message latency")
     p.add_argument("--latency-per-byte-ns", type=float, help="injected per-byte latency")
     p.add_argument(
@@ -111,7 +99,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: list[str]) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -122,16 +110,16 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise UsageError(f"{path} must hold a JSON object")
     for key in raw:
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}: unknown option {key!r}")
     return raw
 
 
-def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
+def _resolve(args: argparse.Namespace, keys: list[str], file_values: dict) -> dict:
     """Merge flag values over config file values, warning on conflicts."""
     merged = dict(file_values)
-    for key in _CONFIG_KEYS:
-        flag_value = getattr(args, key.replace("-", "_"), None)
+    for key in keys:
+        flag_value = getattr(args, key)
         if flag_value is None:
             continue
         if key in file_values and file_values[key] != flag_value:
@@ -145,30 +133,15 @@ def _resolve(args: argparse.Namespace, file_values: dict) -> dict:
 
 
 def options_from_args(args: argparse.Namespace) -> BenchOptions:
-    file_values = _load_config_file(args.config) if args.config else {}
-    values = _resolve(args, file_values)
-
-    config_kwargs = {}
-    if "ranks" in values:
-        config_kwargs["world_size"] = values["ranks"]
-    if "iters" in values:
-        config_kwargs["iterations"] = values["iters"]
-    if "batch" in values:
-        config_kwargs["batch_size"] = values["batch"]
-    if "epsilon" in values:
-        config_kwargs["epsilon"] = values["epsilon"]
-    if "seed" in values:
-        config_kwargs["seed"] = values["seed"]
+    # a config file may set every option but these two, under its dest name
+    keys = [key for key in vars(args) if key not in ("config", "quiet")]
+    file_values = _load_config_file(args.config, keys) if args.config else {}
+    values = _resolve(args, keys, file_values)
     if "layers" in values:
-        config_kwargs["layer_dims"] = _parse_layers(values["layers"])
-    if "compute_inflation_ns" in values:
-        config_kwargs["compute_inflation_ns"] = values["compute_inflation_ns"]
-    if "dataset_size" in values:
-        config_kwargs["dataset_size"] = values["dataset_size"]
-    if "input_scale" in values:
-        config_kwargs["input_scale"] = values["input_scale"]
-    pattern = values.get("pattern", "pipelined")
-    config = TrainConfig(pattern="pipelined", **config_kwargs)
+        values["layers"] = _parse_layers(values["layers"])
+    config = TrainConfig(
+        **{field: values[key] for key, field in _TRAIN_FIELDS.items() if key in values}
+    )
 
     latency = None
     fixed = values.get("latency_fixed_ns", 0)
@@ -176,16 +149,12 @@ def options_from_args(args: argparse.Namespace) -> BenchOptions:
     if fixed or per_byte:
         latency = LatencyModel(fixed_ns=fixed, per_byte_ns=per_byte)
 
-    hosts = None
-    if values.get("hosts"):
-        hosts = [h.strip() for h in str(values["hosts"]).split(",") if h.strip()]
-
+    pattern = values.get("pattern", "pipelined")
     return BenchOptions(
         config=config,
         transport=values.get("transport", "inproc"),
         patterns=("pipelined", "barrier") if pattern == "both" else (pattern,),
         latency=latency,
-        hosts=hosts,
         dataset_csv=values.get("dataset_csv"),
         timeline_path=values.get("timeline"),
         metrics_path=values.get("metrics"),

@@ -64,7 +64,7 @@ import numpy as np
 from .. import net
 from ..buffers import buffer_axpy
 from ..errors import ConfigError, ProtocolError
-from ..timeline import Recorder, TimelineEvent
+from ..timeline import TimelineEvent
 from ..topology import build_reduction_tree
 from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
@@ -144,7 +144,7 @@ class Rank:
         config: TrainConfig,
         dataset,
         transport: TransportBase,
-        recorder: Recorder | None = None,
+        record: bool = False,
     ):
         config.validate()
         if transport.world_size != config.world_size:
@@ -154,8 +154,9 @@ class Rank:
         self.cfg = config
         self.dataset = dataset
         self.tr = transport
-        self.rec = recorder
         self.rank = transport.rank
+        # this rank's timeline when recording, else None
+        self.events: list[TimelineEvent] | None = [] if record else None
         self.specs = config.specs()
         self.num_layers = len(self.specs)
         if config.pattern == "pipelined":
@@ -218,8 +219,8 @@ class Rank:
     # Event recording ------------------------------------------------------
 
     def _record(self, kind: str, layer: int, t0: int, t1: int) -> None:
-        if self.rec is not None:
-            self.rec.record(kind, self.k, layer, t0, t1)
+        if self.events is not None:
+            self.events.append(TimelineEvent(self.rank, self.k, layer, kind, t0, t1))
 
     # Sending ---------------------------------------------------------------
 
@@ -266,9 +267,10 @@ class Rank:
         self.tr.ticket_wait_all(
             [flight[-1] for flight in self._flights], timeout=self.cfg.finalize_timeout_s
         )
-        if self.rec is not None:
+        if self.events is not None:
             for kind, k, layer, t0, ticket in self._flights:
-                self.rec.record(kind, k, layer, t0, max(t0, ticket.completed_at_ns))
+                t1 = max(t0, ticket.completed_at_ns)
+                self.events.append(TimelineEvent(self.rank, k, layer, kind, t0, t1))
         self._flights = []
 
     # Batch handling ---------------------------------------------------------
@@ -322,7 +324,7 @@ class Rank:
             fold_counts=list(self.fold_counts),
             wall_ns=wall_ns,
             units=list(self.units),
-            events=list(self.rec.events) if self.rec is not None else [],
+            events=list(self.events or ()),
         )
 
     def _train_iteration(self, k: int) -> None:

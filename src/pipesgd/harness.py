@@ -1,6 +1,6 @@
 """Launch whole training worlds and benchmark the communication patterns.
 
-Two launchers share every bit of engine code:
+Two launchers share every bit of engine code; LAUNCHERS names them by transport:
 
   run_inproc  one thread per rank over the in-process transport,
   run_tcp     one process per rank over the TCP mesh; every listener is
@@ -30,7 +30,7 @@ from .engine.config import TrainConfig
 from .engine.runtime import Rank, RankResult
 from .engine.sgd import sequential_sgd
 from .errors import ConfigError, TransportError, VerificationError
-from .timeline import Recorder, RunMetrics, compute_overlap, write_timeline_csv
+from .timeline import RunMetrics, compute_overlap, write_timeline_csv
 from .transport.base import LatencyModel
 from .transport.inproc import InprocWorld
 from .transport.tcp import TcpTransport, bind_listener
@@ -41,8 +41,6 @@ _RESULT_TIMEOUT_S = 120.0
 # at once; a failure of rank 0's own waits this long for one.  It is also
 # how often the result wait looks for children that died without a report.
 _EXIT_WAIT_S = 0.1
-# listeners are AF_INET sockets, so IPv6 loopback cannot be served
-_LOOPBACK_HOSTS = ("127.0.0.1", "localhost")
 
 
 def dataset_sha256(dataset: net.Dataset) -> str:
@@ -71,8 +69,7 @@ def run_inproc(
     def body(rank: int) -> None:
         try:
             transport = world.transport(rank)
-            recorder = Recorder(rank) if record else None
-            results[rank] = Rank(config, dataset, transport, recorder).run()
+            results[rank] = Rank(config, dataset, transport, record).run()
         except BaseException as exc:  # noqa: BLE001 - reported to the caller below
             failures.append((rank, exc))
             world.abort_barrier()
@@ -113,8 +110,7 @@ def _tcp_child(
             if r != rank:
                 listener.close()
         transport = TcpTransport(rank, config.world_size, listeners[rank], addresses, latency)
-        recorder = Recorder(rank) if record else None
-        result_queue.put((rank, Rank(config, dataset, transport, recorder).run()))
+        result_queue.put((rank, Rank(config, dataset, transport, record).run()))
         # hold the mesh open until every rank has finished and reported, so
         # nobody interprets our teardown as a peer failure
         transport.barrier()
@@ -169,7 +165,6 @@ def run_tcp(
     dataset: net.Dataset,
     latency: LatencyModel | None = None,
     record: bool = False,
-    hosts: list[str] | None = None,
 ) -> list[RankResult]:
     """One process per rank over a localhost TCP mesh; rank 0 runs here.
 
@@ -181,25 +176,14 @@ def run_tcp(
     died without a report.
     """
     world = config.world_size
-    if hosts is None:
-        hosts = ["127.0.0.1"] * world
-    if len(hosts) != world:
-        raise ConfigError(f"need {world} hosts, got {len(hosts)}")
-    for h in hosts:
-        if h not in _LOOPBACK_HOSTS:
-            raise ConfigError(
-                f"host {h!r} is not an IPv4 loopback host {_LOOPBACK_HOSTS}; "
-                "ranks run as local processes only"
-            )
-
     ctx = multiprocessing.get_context("fork")
     result_queue = ctx.Queue()
     listeners: list[socket.socket] = []
     children: list[multiprocessing.process.BaseProcess] = []
     transport = None
     try:
-        for h in hosts:
-            listeners.append(bind_listener(h))
+        for _ in range(world):
+            listeners.append(bind_listener())
         addresses = [listener.getsockname()[:2] for listener in listeners]
         for r in range(1, world):
             child = ctx.Process(
@@ -212,9 +196,8 @@ def run_tcp(
         for listener in listeners[1:]:
             listener.close()
         transport = TcpTransport(0, world, listeners[0], addresses, latency)
-        recorder = Recorder(0) if record else None
         try:
-            results = [Rank(config, dataset, transport, recorder).run()]
+            results = [Rank(config, dataset, transport, record).run()]
         except Exception as exc:
             # rank 0 learns of a failed child only when its sockets close: a
             # reporting child flushed its report before closing them, and a
@@ -254,6 +237,9 @@ def run_tcp(
         result_queue.close()
 
 
+LAUNCHERS = {"inproc": run_inproc, "tcp": run_tcp}
+
+
 # -- benchmark driver ----------------------------------------------------------
 
 
@@ -263,7 +249,6 @@ class BenchOptions:
     transport: str = "inproc"
     patterns: tuple[str, ...] = ("pipelined",)
     latency: LatencyModel | None = None
-    hosts: list[str] | None = None
     dataset_csv: str | None = None
     timeline_path: str | None = None
     metrics_path: str | None = None
@@ -304,21 +289,6 @@ def _pattern_path(path: str, pattern: str, multiple: bool) -> str:
     return f"{stem}.{pattern}{ext}"
 
 
-def run_pattern(
-    config: TrainConfig,
-    dataset: net.Dataset,
-    transport: str,
-    latency: LatencyModel | None = None,
-    hosts: list[str] | None = None,
-    record: bool = True,
-) -> list[RankResult]:
-    if transport == "inproc":
-        return run_inproc(config, dataset, latency, record)
-    if transport == "tcp":
-        return run_tcp(config, dataset, latency, record, hosts)
-    raise ConfigError(f"unknown transport {transport!r}; choose inproc or tcp")
-
-
 def verify_against_reference(
     config: TrainConfig, dataset: net.Dataset, results: list[RankResult]
 ) -> None:
@@ -339,6 +309,15 @@ def verify_against_reference(
 
 def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
     """Run each requested pattern on one dataset and report statistics."""
+    launch = LAUNCHERS.get(options.transport)
+    if launch is None:
+        raise ConfigError(
+            f"unknown transport {options.transport!r}; choose {' or '.join(LAUNCHERS)}"
+        )
+    # artifacts are written after training, so a bad path must fail first
+    for path in (options.timeline_path, options.checkpoint_path, options.metrics_path):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
     config = options.config
     dataset = build_dataset(config, options.dataset_csv)
     sha = dataset_sha256(dataset)
@@ -349,7 +328,7 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
     multiple = len(options.patterns) > 1
     for pattern in options.patterns:
         cfg = config.replace(pattern=pattern)
-        results = run_pattern(cfg, dataset, options.transport, options.latency, options.hosts)
+        results = launch(cfg, dataset, options.latency, record=True)
         events = [e for r in results for e in r.events]
         metrics = compute_overlap(events)
         report = BenchReport(pattern, results, metrics, sha)

@@ -46,17 +46,6 @@ class TimelineEvent:
     t_end_ns: int
 
 
-class Recorder:
-    """Collects events for a single rank."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.events: list[TimelineEvent] = []
-
-    def record(self, kind: str, iteration: int, layer: int, t_start_ns: int, t_end_ns: int) -> None:
-        self.events.append(TimelineEvent(self.rank, iteration, layer, kind, t_start_ns, t_end_ns))
-
-
 def write_timeline_csv(events: list[TimelineEvent], path: str) -> None:
     rows = sorted(events, key=lambda e: (e.rank, e.t_start_ns, e.t_end_ns))
     with open(path, "w", newline="") as fh:

@@ -8,7 +8,7 @@ import pytest
 
 import pipesgd
 from pipesgd.cli import build_parser, main, options_from_args
-from pipesgd.engine import load_model
+from pipesgd.engine import TrainConfig, load_model
 from pipesgd.errors import UsageError
 from pipesgd.timeline import read_timeline_csv
 
@@ -20,6 +20,20 @@ FAST = [
 
 def parse(argv):
     return options_from_args(build_parser().parse_args(argv))
+
+
+# every option that sets a TrainConfig field: (key, flag value, config file value)
+TRAIN_OPTIONS = [
+    ("ranks", "8", 8),
+    ("iters", "12", 12),
+    ("batch", "32", 32),
+    ("epsilon", "0.01", 0.01),
+    ("seed", "9", 9),
+    ("layers", "10,20,5", [10, 20, 5]),
+    ("compute_inflation_ns", "1000", 1000),
+    ("dataset_size", "99", 99),
+    ("input_scale", "0.5", 0.5),
+]
 
 
 class TestParsing:
@@ -58,10 +72,6 @@ class TestParsing:
         assert opts.latency.fixed_ns == 5000
         assert opts.latency.per_byte_ns == 1.5
 
-    def test_hosts_split(self):
-        opts = parse(["--ranks", "2", "--hosts", "127.0.0.1, localhost"])
-        assert opts.hosts == ["127.0.0.1", "localhost"]
-
     def test_bad_layers_rejected(self):
         with pytest.raises(UsageError):
             parse(["--layers", "10,twenty"])
@@ -96,6 +106,14 @@ class TestConfigFile:
         parse(["--config", str(path), "--iters", "7"])
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("key,flag_value,file_value", TRAIN_OPTIONS)
+    def test_flag_and_file_set_the_same_field(self, tmp_path, key, flag_value, file_value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: file_value}))
+        from_flag = parse([f"--{key.replace('_', '-')}", flag_value]).config
+        assert from_flag == parse(["--config", str(path)]).config
+        assert from_flag != TrainConfig()
+
     def test_layers_accepted_as_json_list(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"layers": [5, 8, 2]}))
@@ -106,6 +124,14 @@ class TestConfigFile:
         path.write_text(json.dumps({"wrap_speed": 9}))
         with pytest.raises(UsageError, match="wrap_speed"):
             parse(["--config", str(path)])
+
+    def test_removed_hosts_option_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"hosts": "127.0.0.1,127.0.0.1"}))
+        with pytest.raises(UsageError, match="'hosts'"):
+            parse(["--config", str(path)])
+        assert main(FAST + ["--hosts", "127.0.0.1"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "run.json"
@@ -153,6 +179,14 @@ class TestMain:
     def test_missing_dataset_csv_exit_one(self, capsys):
         assert main(FAST + ["--dataset-csv", "/nonexistent/data.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--timeline", "--checkpoint", "--metrics"])
+    def test_missing_artifact_directory_fails_before_training(self, flag, tmp_path, capsys):
+        argv = [f for f in FAST if f != "--quiet"] + [flag, str(tmp_path / "nodir" / "out")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err
+        assert "pipelined.wall_clock_ns" not in out
 
     def test_artifacts_written(self, tmp_path, capsys):
         timeline = str(tmp_path / "timeline.csv")

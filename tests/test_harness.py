@@ -263,23 +263,6 @@ class TestTcpFailure:
         assert time.monotonic() - t0 < 1.0
 
 
-class TestRunTcpGuards:
-    def test_rejects_non_loopback_hosts(self):
-        cfg = small_config()
-        ds = build_dataset(cfg)
-        with pytest.raises(ConfigError, match="loopback"):
-            run_tcp(cfg, ds, hosts=["10.0.0.7", "127.0.0.1"])
-        # listeners are IPv4 only, so IPv6 loopback is refused before forking
-        with pytest.raises(ConfigError, match="loopback"):
-            run_tcp(cfg, ds, hosts=["127.0.0.1", "::1"])
-
-    def test_rejects_wrong_host_count(self):
-        cfg = small_config()
-        ds = build_dataset(cfg)
-        with pytest.raises(ConfigError, match="hosts"):
-            run_tcp(cfg, ds, hosts=["127.0.0.1"])
-
-
 class TestRunBenchmark:
     def test_single_pattern_report(self, capsys):
         reports = run_benchmark(BenchOptions(config=small_config(), quiet=True))
@@ -364,6 +347,12 @@ class TestRunBenchmark:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigError, match="transport"):
             run_benchmark(BenchOptions(config=small_config(), transport="carrier-pigeon"))
+        # checked before the dataset is read, so no work starts
+        with pytest.raises(ConfigError, match="transport"):
+            run_benchmark(BenchOptions(
+                config=small_config(), transport="carrier-pigeon",
+                dataset_csv="/nonexistent/data.csv",
+            ))
 
     def test_tcp_transport_round_trip(self, tmp_path):
         metrics = str(tmp_path / "m.txt")

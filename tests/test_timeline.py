@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipesgd import net
+from pipesgd.engine import TrainConfig
 from pipesgd.errors import FormatError
+from pipesgd.harness import run_inproc
 from pipesgd.timeline import (
     COMM_KINDS,
     COMPUTE_KINDS,
     CSV_HEADER,
     EVENT_KINDS,
-    Recorder,
     TimelineEvent,
     _merge_intervals,
     _overlap_with,
@@ -34,16 +36,6 @@ class TestKinds:
     def test_bookkeeping_kinds_count_as_neither(self):
         neither = EVENT_KINDS - COMM_KINDS - COMPUTE_KINDS
         assert neither == {"finalize", "barrier"}
-
-
-class TestRecorder:
-    def test_stamps_rank_on_every_event(self):
-        rec = Recorder(3)
-        rec.record("forward", 0, -1, 10, 20)
-        rec.record("send_trigger", 0, 2, 25, 40)
-        assert [e.rank for e in rec.events] == [3, 3]
-        assert rec.events[1].kind == "send_trigger"
-        assert rec.events[1].layer == 2
 
 
 class TestCsv:
@@ -229,13 +221,21 @@ class TestComputeOverlap:
 
 
 class TestRealRunEvents:
+    def test_stamps_rank_on_every_event(self):
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 3), world_size=4, iterations=2,
+            batch_size=8, dataset_size=16, seed=5,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), 1.0)
+        results = run_inproc(cfg, ds, record=True)
+        for result in results:
+            assert result.events
+            assert {e.rank for e in result.events} == {result.rank}
+        assert all(r.events == [] for r in run_inproc(cfg, ds, record=False))
+
     def test_recorded_run_produces_consistent_timeline(self, tmp_path):
         """Events from an actual training run survive a CSV round-trip and
         yield finite metrics."""
-        from pipesgd import net
-        from pipesgd.engine import TrainConfig
-        from pipesgd.harness import run_inproc
-
         cfg = TrainConfig(
             layer_dims=(4, 6, 3), world_size=2, iterations=3,
             batch_size=8, dataset_size=16, seed=5,
