@@ -66,12 +66,11 @@ def seeded_fill(seed: int, length: int, scale: float) -> np.ndarray:
     return scale * (2.0 * u - 1.0)
 
 
-def buffer_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """In-place ``y := y + alpha * x``; returns ``y``.  ``x`` is not touched."""
+def buffer_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """In-place ``y := y + x`` without a temporary; returns ``y``.  ``x`` is not touched."""
     if x.shape != y.shape:
-        raise ShapeError(f"axpy length mismatch: {x.shape} vs {y.shape}")
-    y += alpha * x
-    return y
+        raise ShapeError(f"add length mismatch: {x.shape} vs {y.shape}")
+    return np.add(y, x, out=y)
 
 
 @dataclass

@@ -46,11 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_layers(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+def _parse_layers(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in str(text).split(",") if part.strip())
+        dims = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"--layers wants comma-separated integers, got {text!r}") from exc
     if len(dims) < 2:
@@ -99,6 +97,29 @@ def build_parser() -> _Parser:
     return p
 
 
+# JSON type a config-file value must have, by its flag's argparse type
+_FILE_TYPES = {int: int, float: (int, float), None: str}
+
+
+def _file_value(path: str, action: argparse.Action, value):
+    """A config-file value, held to what its flag's parser action accepts.
+
+    A switch takes JSON true/false, an int flag a JSON integer, a float
+    flag any JSON number, a text flag a string (``layers`` also a list of
+    widths), and a flag with choices only one of them.
+    """
+    if action.dest == "layers" and isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    wanted = bool if action.nargs == 0 else _FILE_TYPES[action.type]
+    if (
+        isinstance(value, bool) != (wanted is bool)
+        or not isinstance(value, wanted)
+        or (action.choices is not None and value not in action.choices)
+    ):
+        raise UsageError(f"{path}: option {action.dest!r} cannot be {value!r}")
+    return action.type(value) if action.type else value
+
+
 def _load_config_file(path: str, keys: list[str]) -> dict:
     try:
         with open(path) as fh:
@@ -109,10 +130,11 @@ def _load_config_file(path: str, keys: list[str]) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{path} must hold a JSON object")
+    actions = {a.dest: a for a in build_parser()._actions if a.dest in keys}
     for key in raw:
-        if key not in keys:
+        if key not in actions:
             raise UsageError(f"{path}: unknown option {key!r}")
-    return raw
+    return {key: _file_value(path, actions[key], value) for key, value in raw.items()}
 
 
 def _resolve(args: argparse.Namespace, keys: list[str], file_values: dict) -> dict:

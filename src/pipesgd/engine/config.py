@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
@@ -15,6 +16,10 @@ PATTERNS = ("pipelined", "barrier")
 # under the barrier pattern (one rendezvous, two fences per iteration, one
 # teardown hold), which must stay below 2**32.
 MAX_ITERATIONS = 2**31 - 2
+
+_INT_FIELDS = (
+    "world_size", "iterations", "batch_size", "seed", "compute_inflation_ns", "dataset_size"
+)
 
 
 @dataclass
@@ -47,6 +52,10 @@ class TrainConfig:
             raise ConfigError("layer_dims needs at least an input and an output width")
         if any(d < 1 for d in self.layer_dims):
             raise ConfigError(f"layer widths must be positive, got {self.layer_dims}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {self.world_size}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:

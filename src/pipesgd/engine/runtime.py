@@ -37,13 +37,17 @@ arrive mid-backward, so those polls find nothing.
 
 After the last turn the rank keeps polling until every unit's gradient
 went up and every updated unit came back.  Under the pipelined schedule
-no barrier runs anywhere in or between iterations; iteration parity keeps
-the at-most-two in-flight iterations apart (receive slots and
-notification ids are double-buffered, and notification values carry
-iteration+1 so early traffic from the next iteration is recognized and
-left pending).  The barrier baseline adds exactly two fences per
-iteration: one before its whole-model unit is published and one after
-the iteration's traffic is done.  Those two barrier calls are the
+no barrier runs anywhere in or between iterations, so a fast neighbour
+may already be one iteration ahead.  Its writes still cannot clobber a
+receive slot: a child writes its iteration-k+1 gradient only after it
+installed model k, which its parent sent only after folding the child's
+iteration-k gradient, and a parent writes model k+1 only after the
+child's iteration-k+1 gradient went up, which the child sent only after
+installing model k.  Notification values carry iteration+1, so an early
+k+2 is recognized and left pending until this rank reaches iteration
+k+1.  The barrier baseline adds exactly two fences per iteration: one
+before its whole-model unit is published and one after the iteration's
+traffic is done.  Those two barrier calls are the
 synchronization the pipelined schedule exists to avoid.
 
 Weight buffers are safe to overwrite mid-backward because an updated
@@ -62,13 +66,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import net
-from ..buffers import buffer_axpy
+from ..buffers import buffer_add
 from ..errors import ConfigError, ProtocolError
 from ..timeline import TimelineEvent
 from ..topology import build_reduction_tree
 from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
-from .layout import SEG_RECV, SEG_WORK, SegmentLayout
+from .layout import GRADIENT, MODEL, SEG_RECV, SEG_WORK, SegmentLayout
 from .sgd import batch_indices, master_update, shard_bounds
 
 _IDLE_SLEEP_S = 2e-5
@@ -185,13 +189,11 @@ class Rank:
 
         lay = self.layout
         slots = 1 + len(self.children)
-        self.seg_work = transport.segment_create(SEG_WORK, lay.work_size, 1)
-        self.seg_recv = transport.segment_create(
-            SEG_RECV, lay.rx_size(slots), lay.notif_count(slots)
-        )
+        self.seg_work = transport.segment_create(SEG_WORK, lay.size(2), 1)
+        self.seg_recv = transport.segment_create(SEG_RECV, lay.size(slots), lay.notif_count(slots))
 
-        model_region = self.seg_work.view_f64(0, lay.total_params)
-        grad_region = self.seg_work.view_f64(lay.total_bytes, lay.total_params)
+        model_region = self.seg_work.view_f64(lay.offset(MODEL, 0), lay.total_params)
+        grad_region = self.seg_work.view_f64(lay.offset(GRADIENT, 0), lay.total_params)
         self.model_views = [model_region[a:b] for a, b in zip(bounds, bounds[1:])]
         self.grad_views = [grad_region[a:b] for a, b in zip(bounds, bounds[1:])]
         self.unit_model_views = [model_region[bounds[a]:bounds[b]] for a, b in self.units]
@@ -208,12 +210,11 @@ class Rank:
         # (kind, iteration, label, trigger time, ticket) per outgoing write
         self._flights: list[tuple[str, int, int, int, Ticket]] = []
         self.k = 0
-        self.parity = 0
 
     # Receive-slot views ---------------------------------------------------
 
-    def _rx(self, slot: int, unit: int, parity: int) -> np.ndarray:
-        off = self.layout.rx_offset(slot, unit, parity)
+    def _rx(self, slot: int, unit: int) -> np.ndarray:
+        off = self.layout.offset(slot, unit)
         return self.seg_recv.view_f64(off, self.layout.param_counts[unit])
 
     # Event recording ------------------------------------------------------
@@ -224,7 +225,7 @@ class Rank:
 
     # Sending ---------------------------------------------------------------
 
-    def _send(self, dest_rank: int, slot: int, unit: int, local_offset: int, kind: str) -> None:
+    def _send(self, dest_rank: int, slot: int, unit: int, work_slot: int, kind: str) -> None:
         """One notify-write of one unit's SEG_WORK bytes into one receive
         slot of one destination.
 
@@ -238,25 +239,23 @@ class Rank:
         ticket = self.tr.write_notify(
             WriteRequest(
                 local_segment=SEG_WORK,
-                local_offset=local_offset,
+                local_offset=lay.offset(work_slot, unit),
                 rank=dest_rank,
                 remote_segment=SEG_RECV,
-                remote_offset=lay.rx_offset(slot, unit, self.parity),
+                remote_offset=lay.offset(slot, unit),
                 size=lay.unit_bytes[unit],
-                notification_id=lay.notif_id(slot, unit, self.parity),
+                notification_id=lay.notif_id(slot, unit),
                 notification_value=self.k + 1,
             )
         )
         self._flights.append((kind, self.k, self._labels[unit], t0, ticket))
 
     def _send_gradient(self, unit: int) -> None:
-        offset = self.layout.work_grad_offset(unit)
-        self._send(self.parent, self.parent_slot, unit, offset, "send_trigger")
+        self._send(self.parent, self.parent_slot, unit, GRADIENT, "send_trigger")
 
     def _send_model(self, unit: int) -> None:
-        offset = self.layout.work_model_offset(unit)
         for child in self.children:
-            self._send(child, 0, unit, offset, "model_forward")
+            self._send(child, 0, unit, MODEL, "model_forward")
 
     def _wait_tickets(self) -> None:
         """Drain this iteration's outgoing writes and time their flights.
@@ -350,7 +349,6 @@ class Rank:
 
     def begin_iteration(self, k: int) -> None:
         self.k = k
-        self.parity = k & 1
         self.state = TurnState(len(self.units), len(self.children))
 
     def run_turn(self, layer: int, gradient) -> None:
@@ -446,7 +444,7 @@ class Rank:
             while st.next_fold[unit] in st.child_arrived[unit]:
                 child = st.next_fold[unit]
                 t0 = time.monotonic_ns()
-                buffer_axpy(1.0, self._rx(1 + child, unit, self.parity), self.unit_grad_views[unit])
+                buffer_add(self._rx(1 + child, unit), self.unit_grad_views[unit])
                 self._record("reduce_local", self._labels[unit], t0, time.monotonic_ns())
                 for layer in range(first, stop):
                     self.fold_counts[layer] += 1
@@ -474,7 +472,7 @@ class Rank:
                 "gradient contribution went up"
             )
         self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
-        self.unit_model_views[unit][:] = self._rx(0, unit, self.parity)
+        self.unit_model_views[unit][:] = self._rx(0, unit)
         self._send_model(unit)
         st.model_arrived[unit] = True
 
@@ -500,21 +498,20 @@ class Rank:
         """Consume current-iteration notifications on the receive segment.
 
         Polls every assigned id and returns the (slot, unit) of each
-        consumed notification.  Traffic for iteration k+1 (value k+2 on
-        opposite-parity ids) is left in place for the next iteration;
-        anything else unexpected is a protocol violation and raises.
+        consumed notification.  Traffic for iteration k+1 (value k+2) is
+        left in place for the next iteration; any other value but k+1 is
+        a protocol violation and raises.
         """
         hits = self.tr.notify_poll(SEG_RECV, 1, self._poll_ids)
         out = []
         for nid, value in hits:
-            slot, unit, parity = self.layout.decode(nid)
-            if value == self.k + 2 and parity == (self.k + 1) & 1:
+            if value == self.k + 2:
                 continue  # next iteration's data, not ours to consume
-            if value != self.k + 1 or parity != self.parity:
+            if value != self.k + 1:
                 raise ProtocolError(
                     f"rank {self.rank}: iteration {self.k} saw notification value "
-                    f"{value} on id {nid} (parity {parity})"
+                    f"{value} on id {nid}"
                 )
             self.tr.notify_reset(SEG_RECV, nid)
-            out.append((slot, unit))
+            out.append(self.layout.decode(nid))
         return out

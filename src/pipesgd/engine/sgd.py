@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import net
-from ..buffers import Model, buffer_axpy, derived_seed, splitmix64_stream
+from ..buffers import Model, buffer_add, derived_seed, splitmix64_stream
 from ..errors import ShapeError
 from ..topology import Tree, build_reduction_tree
 from .config import TrainConfig
@@ -65,7 +65,7 @@ def tree_reduce(partials: Sequence[Sequence[np.ndarray]], tree: Tree) -> list[np
     for r in range(tree.world_size - 1, -1, -1):
         for c in tree.children[r]:
             for l in range(len(acc[r])):
-                buffer_axpy(1.0, acc[c][l], acc[r][l])
+                buffer_add(acc[c][l], acc[r][l])
     return acc[0]
 
 

@@ -133,6 +133,28 @@ class TestConfigFile:
         assert main(FAST + ["--hosts", "127.0.0.1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"iters": "3"}, {"iters": 2.5}, {"verify_oracle": "no"}],
+        ids=["int-as-string", "int-as-float", "switch-as-string"],
+    )
+    def test_value_its_flag_would_reject_exits_one(self, tmp_path, capsys, bad):
+        """A file value gets its flag's type and choices checks: a usage
+        error (exit 1), not a traceback, a rank failure or a silent yes."""
+        path = tmp_path / "run.json"
+        small = {"ranks": 2, "batch": 8, "layers": "4,6,3", "dataset_size": 16}
+        path.write_text(json.dumps({**small, **bad}))
+        assert main(["--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_switch_takes_json_booleans(self, tmp_path):
+        path = tmp_path / "run.json"
+        for value in (True, False):
+            path.write_text(json.dumps({"verify_oracle": value}))
+            assert parse(["--config", str(path)]).verify_oracle is value
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("[1,2,3]")

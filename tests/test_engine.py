@@ -20,6 +20,7 @@ from pipesgd.engine import (
     serialize_model,
     tree_reduce,
 )
+from pipesgd.engine.layout import GRADIENT, MODEL
 from pipesgd.engine.sgd import shard_bounds
 from pipesgd.errors import ConfigError, FormatError, ShapeError
 from pipesgd.topology import build_reduction_tree
@@ -58,6 +59,12 @@ class TestTrainConfig:
             {"input_scale": float("nan")},
             {"input_scale": float("inf")},
             {"input_scale": float("-inf")},
+            {"iterations": 2.5},
+            {"seed": 1.5},
+            {"world_size": 2.0},
+            {"compute_inflation_ns": 1e3},
+            {"batch_size": "8"},
+            {"dataset_size": True},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -76,28 +83,28 @@ class TestSegmentLayout:
         assert lay.unit_bytes == [80, 32, 48]
         assert lay.unit_offsets == [0, 80, 112]
         assert lay.total_bytes == 160
-        assert lay.work_size == 320
-        assert lay.work_model_offset(2) == 112
-        assert lay.work_grad_offset(0) == 160
+        assert lay.size(2) == 320
+        assert lay.offset(MODEL, 2) == 112
+        assert lay.offset(GRADIENT, 0) == 160
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 4])
     @pytest.mark.parametrize("counts", [[3], [10, 4], [100, 1, 50], [7, 7, 7, 7]])
     def test_receive_slots_and_ids(self, slots, counts):
-        """Every (slot, unit, parity) byte span is disjoint and inside
-        rx_size; the ids fill [1, count) with id 0 reserved, and each
-        decodes back to its (slot, unit, parity)."""
+        """A segment of S slots is S whole models: every (slot, unit) byte
+        span is disjoint and inside size(S) == S * model bytes; the ids
+        fill [1, 1 + S*U) with id 0 reserved, and each decodes back to its
+        (slot, unit)."""
         lay = SegmentLayout(counts)
-        keys = [
-            (slot, u, p) for slot in range(slots) for u in range(lay.num_units) for p in (0, 1)
-        ]
+        keys = [(slot, u) for slot in range(slots) for u in range(lay.num_units)]
         spans = sorted(
-            (lay.rx_offset(*key), lay.rx_offset(*key) + lay.unit_bytes[key[1]]) for key in keys
+            (lay.offset(*key), lay.offset(*key) + lay.unit_bytes[key[1]]) for key in keys
         )
         for (_, a1), (b0, _) in zip(spans, spans[1:]):
             assert a1 <= b0
         assert spans[0][0] == 0
-        assert spans[-1][1] == lay.rx_size(slots) == slots * 2 * lay.total_bytes
+        assert spans[-1][1] == lay.size(slots) == slots * lay.total_bytes
         ids = {lay.notif_id(*key): key for key in keys}
+        assert lay.notif_count(slots) == 1 + slots * lay.num_units
         assert sorted(ids) == list(range(1, lay.notif_count(slots)))
         assert all(lay.decode(nid) == key for nid, key in ids.items())
 

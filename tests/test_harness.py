@@ -9,7 +9,7 @@ import pytest
 
 from pipesgd import net
 from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
-from pipesgd.engine.layout import SEG_RECV
+from pipesgd.engine.layout import GRADIENT, SEG_RECV
 from pipesgd.errors import ConfigError, TransportError, VerificationError
 from pipesgd.harness import (
     BenchOptions,
@@ -138,13 +138,13 @@ def die_mid_gradient_frame(monkeypatch, rank, iteration):
             assert size > 100, "the cut must fall inside the payload"
             header = wire.pack_write_notify(
                 SEG_RECV,
-                lay.rx_offset(r.parent_slot, unit, r.parity),
+                lay.offset(r.parent_slot, unit),
                 size,
-                lay.notif_id(r.parent_slot, unit, r.parity),
+                lay.notif_id(r.parent_slot, unit),
                 r.k + 1,
             )
             # the link to the parent is idle: last iteration's writes completed
-            r.tr._peers[r.parent].sendall(header + r.seg_work.read(lay.work_grad_offset(unit), 100))
+            r.tr._peers[r.parent].sendall(header + r.seg_work.read(lay.offset(GRADIENT, unit), 100))
             os._exit(1)
         send_gradient(r, unit)
 

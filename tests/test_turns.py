@@ -103,8 +103,8 @@ class TestLeafTurn:
         # the bytes are already in rank 0's child-0 receive slot, with the
         # notification pending: one-sided, nothing on rank 0 ran yet
         lay = r0.layout
-        assert r0._rx(1, 0, 0).tolist() == g1.tolist()
-        nid = lay.notif_id(1, 0, 0)
+        assert r0._rx(1, 0).tolist() == g1.tolist()
+        nid = lay.notif_id(1, 0)
         assert r0.tr.notify_poll(SEG_RECV, nid, 1) == [(nid, 1)]
         assert r1.state.gradient_forwarded[0]
 
@@ -179,21 +179,22 @@ class TestProtocolViolations:
         lay = r0.layout
         r1.tr.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
-            remote_offset=lay.rx_offset(1, 0, 0), size=8,
-            notification_id=lay.notif_id(1, 0, 0), notification_value=7,
+            remote_offset=lay.offset(1, 0), size=8,
+            notification_id=lay.notif_id(1, 0), notification_value=7,
         ))
         with pytest.raises(ProtocolError, match="notification value"):
             r0._comm_pass()
 
     def test_next_iteration_traffic_is_left_pending(self, make_ranks):
-        """Value k+2 on opposite-parity ids is early data, not an error."""
+        """Value k+2 is early data for the next iteration, not an error,
+        even on the very id this iteration also uses."""
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         lay = r0.layout
-        nid = lay.notif_id(1, 0, 1)  # parity-1 slot
+        nid = lay.notif_id(1, 0)
         r1.tr.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
-            remote_offset=lay.rx_offset(1, 0, 1), size=8,
+            remote_offset=lay.offset(1, 0), size=8,
             notification_id=nid, notification_value=2,
         ))
         assert r0._comm_pass() is False
@@ -217,8 +218,8 @@ class TestProtocolViolations:
         lay = r1.layout
         r1.tr.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
-            remote_offset=lay.rx_offset(0, 0, 0), size=lay.unit_bytes[0],
-            notification_id=lay.notif_id(0, 0, 0), notification_value=1,
+            remote_offset=lay.offset(0, 0), size=lay.unit_bytes[0],
+            notification_id=lay.notif_id(0, 0), notification_value=1,
         ))
         with pytest.raises(ProtocolError, match="model unit 0 arrived before"):
             r0._comm_pass()
@@ -227,13 +228,13 @@ class TestProtocolViolations:
         """A leaf has only its model slot; a gradient aimed at it fails the
         range check instead of landing in unused memory."""
         _, _, (r0, r1) = make_ranks(2)
-        assert r1.seg_recv.size == r1.layout.rx_size(1)
+        assert r1.seg_recv.size == r1.layout.size(1)
         lay = r0.layout
         with pytest.raises(RangeError):
             r0.tr.write_notify(WriteRequest(
                 local_segment=0, local_offset=0, rank=1, remote_segment=SEG_RECV,
-                remote_offset=lay.rx_offset(1, 0, 0), size=lay.unit_bytes[0],
-                notification_id=lay.notif_id(1, 0, 0), notification_value=1,
+                remote_offset=lay.offset(1, 0), size=lay.unit_bytes[0],
+                notification_id=lay.notif_id(1, 0), notification_value=1,
             ))
 
 
@@ -243,9 +244,36 @@ class TestReceiveSegment:
         4 ranks, 3 on rank 0, 2 on rank 2, 1 on the leaves 1 and 3."""
         _, _, ranks = make_ranks(4)
         assert [r.seg_recv.size for r in ranks] == [
-            r.layout.rx_size(slots) for r, slots in zip(ranks, [3, 1, 2, 1])
+            r.layout.size(slots) for r, slots in zip(ranks, [3, 1, 2, 1])
         ]
         assert [r.parent_slot for r in ranks] == [None, 1, 2, 1]
+
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_one_buffer_per_slot_in_a_full_run(self, monkeypatch, pattern):
+        """Over a whole 4-rank run, each rank's receive segment holds
+        exactly 1 + children whole models and 1 + slots * units
+        notification ids, whatever units the schedule planned."""
+        seen = {}
+        run = Rank.run
+
+        def record(r):
+            slots = 1 + len(r.children)
+            model_bytes = sum(s.param_count for s in r.specs) * 8
+            seen[r.rank] = (
+                r.seg_recv.size == slots * model_bytes,
+                r.seg_recv.notifications.count == 1 + slots * len(r.units),
+            )
+            return run(r)
+
+        monkeypatch.setattr(Rank, "run", record)
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 3), world_size=4, iterations=2, batch_size=8,
+            dataset_size=16, seed=7, pattern=pattern, compute_inflation_ns=1_000_000,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        results = run_inproc(cfg, ds)
+        assert seen == {r: (True, True) for r in range(4)}
+        assert len(results[0].units) == (2 if pattern == "pipelined" else 1)
 
     def test_one_poll_per_pass(self):
         """An interior rank sees model and child traffic through one poll."""
@@ -268,7 +296,9 @@ class TestReceiveSegment:
 class TestCrossIteration:
     def test_fast_peer_running_ahead_is_safe(self, make_ranks):
         """Rank 1 finishes iteration 0 and publishes iteration 1 gradients
-        while rank 0 is still on iteration 0; parity keeps them apart."""
+        while rank 0 is still on iteration 0; the early writes land in
+        slots rank 0 has already consumed and stay pending until it
+        reaches iteration 1."""
         _, _, (r0, r1) = make_ranks(2, iterations=2)
 
         r1.begin_iteration(0)
