@@ -22,6 +22,10 @@ _INT_FIELDS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     """Everything a rank needs to run a training loop deterministically.
@@ -44,18 +48,17 @@ class TrainConfig:
     finalize_timeout_s: float = 30.0
 
     def __post_init__(self):
-        self.layer_dims = tuple(int(d) for d in self.layer_dims)
+        self.layer_dims = tuple(self.layer_dims)
         self.validate()
 
     def validate(self) -> None:
         if len(self.layer_dims) < 2:
             raise ConfigError("layer_dims needs at least an input and an output width")
-        if any(d < 1 for d in self.layer_dims):
-            raise ConfigError(f"layer widths must be positive, got {self.layer_dims}")
+        if not all(_is_int(d) and d >= 1 for d in self.layer_dims):
+            raise ConfigError(f"layer widths must be positive integers, got {self.layer_dims}")
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {self.world_size}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:

@@ -65,6 +65,8 @@ class TestTrainConfig:
             {"compute_inflation_ns": 1e3},
             {"batch_size": "8"},
             {"dataset_size": True},
+            {"layer_dims": (4.5, 3)},
+            {"layer_dims": (4, "3")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
