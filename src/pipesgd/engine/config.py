@@ -72,8 +72,8 @@ class TrainConfig:
                 f"batch_size {self.batch_size} must divide evenly over "
                 f"{self.world_size} ranks"
             )
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.pattern not in PATTERNS:
             raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.compute_inflation_ns < 0:
@@ -82,8 +82,10 @@ class TrainConfig:
             raise ConfigError(f"input_scale must be finite, got {self.input_scale}")
         if self.dataset_size < 1:
             raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
-        if not self.finalize_timeout_s > 0.0:
-            raise ConfigError("finalize_timeout_s must be > 0")
+        if not 0.0 < self.finalize_timeout_s < math.inf:
+            raise ConfigError(
+                f"finalize_timeout_s must be finite and > 0, got {self.finalize_timeout_s}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 

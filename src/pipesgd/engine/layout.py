@@ -8,22 +8,29 @@ the barrier baseline, a single whole-model entry.  Every rank registers the
 same two segments, each an array of whole-model *slots* laid out as
 [slot][unit]:
 
-  SEG_WORK   private working memory: slot 0 the model, slot 1 the
-             gradient.  Remote writes never land here; it is the local
-             source for all outgoing transfers, so payloads go on the wire
-             without staging copies.
+  SEG_WORK   private working memory, one slot: the gradient.  The backward
+             pass writes each layer's gradient here, children's gradients
+             are folded into it, the master updates from it, and gradient
+             writes go on the wire from it without staging copies.  Remote
+             writes never land here.
   SEG_RECV   receive slots.  A rank with C reduction children has 1 + C
-             slots: slot 0 holds the model update from the broadcast
-             parent, slot 1 + c the gradient of child c.  Each slot has one
-             writer, so the slot of an arriving write says what it carries.
+             slots: slot 0 holds the rank's live model, slot 1 + c the
+             gradient of child c.  Each slot has one writer, so the slot of
+             an arriving write says what it carries.  The broadcast parent
+             writes model units straight into slot 0, the master updates
+             its own slot 0 in place, and model writes to children go out
+             from it: a model unit is never copied on its way through a
+             rank.
 
 A receive slot is a single buffer.  The tree's causal order keeps it safe
-to reuse: a child writes its gradient for iteration k+1 only after it
-installed model k, which its parent sent only after folding the child's
-iteration-k gradient; a parent writes model k+1 only after the child's
-iteration-k+1 gradient went up, which the child sent only after
-installing model k.  So every slot is read, and its notification reset,
-before the next write to it is issued.
+to reuse: a child writes its gradient for iteration k+1 only after model
+k landed in its slot 0, which its parent sent only after folding the
+child's iteration-k gradient; a parent writes model k+1 only after the
+child's iteration-k+1 gradient went up, which the child sent only after
+its iteration-k writes completed and after its backward pass read the
+weights of that unit for the last time.  So every slot is read, and its
+notification reset, before the next write to it is issued, and slot 0 is
+never overwritten while it is still the source of a pending write.
 
 Each transfer is one notify-write with one notification id.  Ids are
 dense: with U units, (slot, unit) carries 1 + slot*U + unit.  Id 0 is
@@ -40,10 +47,6 @@ from ..errors import ConfigError
 
 SEG_WORK = 0
 SEG_RECV = 1
-
-# SEG_WORK slots
-MODEL = 0
-GRADIENT = 1
 
 _FLOAT_BYTES = 8
 

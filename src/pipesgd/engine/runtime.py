@@ -1,10 +1,14 @@
 """Turn-based data-parallel SGD for both communication schedules.
 
-A rank owns two segments (see :mod:`.layout`): private working memory
-and one receive segment, whose slot 0 takes the broadcast parent's model
-and slot 1 + c child c's gradient.  It works on float64 views into them,
-talks to its tree neighbours through one-sided notify-writes, and sees
-every arrival through one notification poll per communication pass.
+A rank owns two segments (see :mod:`.layout`): its gradient and one
+receive segment, whose slot 0 is the rank's live model and slot 1 + c
+child c's gradient.  It works on float64 views into them, talks to its
+tree neighbours through one-sided notify-writes, and sees every arrival
+through one notification poll per communication pass.  Nothing on the
+whole-model path is copied or allocated per iteration: the backward pass
+writes gradients into their segment views, folds and the master update
+run in place, and model units land in the weights the next forward pass
+reads and leave for the broadcast children from there.
 Model and gradient move in *transfer units*: contiguous ``[first,
 stop)`` layer ranges.  The barrier baseline moves one
 whole-model unit.  The pipelined schedule plans its units from the
@@ -25,8 +29,8 @@ communication has become possible, without waiting for anything:
   * a unit whose children are all folded is forwarded up the reduction
     tree - or, on the master, applied via the update rule and broadcast
     back down,
-  * freshly arrived model units are installed and forwarded to broadcast
-    children.
+  * freshly arrived model units, already in place, are forwarded to
+    broadcast children.
 
 The same communication pass also runs while a layer's backward compute
 is modeled (``compute_inflation_ns``): the rank polls until that time is
@@ -39,22 +43,25 @@ After the last turn the rank keeps polling until every unit's gradient
 went up and every updated unit came back.  Under the pipelined schedule
 no barrier runs anywhere in or between iterations, so a fast neighbour
 may already be one iteration ahead.  Its writes still cannot clobber a
-receive slot: a child writes its iteration-k+1 gradient only after it
-installed model k, which its parent sent only after folding the child's
+receive slot: a child writes its iteration-k+1 gradient only after model
+k landed, which its parent sent only after folding the child's
 iteration-k gradient, and a parent writes model k+1 only after the
 child's iteration-k+1 gradient went up, which the child sent only after
-installing model k.  Notification values carry iteration+1, so an early
-k+2 is recognized and left pending until this rank reaches iteration
-k+1.  The barrier baseline adds exactly two fences per iteration: one
-before its whole-model unit is published and one after the iteration's
-traffic is done.  Those two barrier calls are the
-synchronization the pipelined schedule exists to avoid.
+model k landed and its own iteration-k writes completed.  Notification
+values carry iteration+1, so an early k+2 is recognized and left pending
+until this rank reaches iteration k+1.  The barrier baseline adds
+exactly two fences per iteration: one before its whole-model unit is
+published and one after the iteration's traffic is done.  Those two
+barrier calls are the synchronization the pipelined schedule exists to
+avoid.
 
-Weight buffers are safe to overwrite mid-backward because an updated
+Model units may land in the live weights mid-backward because an updated
 unit can only arrive after this rank contributed its own gradient for
 it, and the backward pass reads the unit's old weights for the last time
 while producing exactly that gradient: it propagates the layer's input
-gradient through the old weights before it emits the layer.
+gradient through the old weights before it emits the layer.  A stray
+model write is still caught at the next pass, after it clobbered those
+weights; the run fails either way.
 """
 
 from __future__ import annotations
@@ -72,8 +79,8 @@ from ..timeline import TimelineEvent
 from ..topology import build_reduction_tree
 from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
 from .config import TrainConfig
-from .layout import GRADIENT, MODEL, SEG_RECV, SEG_WORK, SegmentLayout
-from .sgd import batch_indices, master_update, shard_bounds
+from .layout import SEG_RECV, SEG_WORK, SegmentLayout
+from .sgd import apply_update, batch_indices, shard_bounds
 
 _IDLE_SLEEP_S = 2e-5
 
@@ -189,14 +196,13 @@ class Rank:
 
         lay = self.layout
         slots = 1 + len(self.children)
-        self.seg_work = transport.segment_create(SEG_WORK, lay.size(2), 1)
+        self.seg_work = transport.segment_create(SEG_WORK, lay.size(1), 1)
         self.seg_recv = transport.segment_create(SEG_RECV, lay.size(slots), lay.notif_count(slots))
 
-        model_region = self.seg_work.view_f64(lay.offset(MODEL, 0), lay.total_params)
-        grad_region = self.seg_work.view_f64(lay.offset(GRADIENT, 0), lay.total_params)
+        model_region = self.seg_recv.view_f64(0, lay.total_params)
+        grad_region = self.seg_work.view_f64(0, lay.total_params)
         self.model_views = [model_region[a:b] for a, b in zip(bounds, bounds[1:])]
         self.grad_views = [grad_region[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.unit_model_views = [model_region[bounds[a]:bounds[b]] for a, b in self.units]
         self.unit_grad_views = [grad_region[bounds[a]:bounds[b]] for a, b in self.units]
 
         start = net.init_model(config.seed, self.specs)
@@ -225,9 +231,10 @@ class Rank:
 
     # Sending ---------------------------------------------------------------
 
-    def _send(self, dest_rank: int, slot: int, unit: int, work_slot: int, kind: str) -> None:
-        """One notify-write of one unit's SEG_WORK bytes into one receive
-        slot of one destination.
+    def _send(self, dest_rank: int, slot: int, unit: int, source: int, kind: str) -> None:
+        """One notify-write of one unit from slot 0 of a local segment -
+        the gradient in SEG_WORK or the model in SEG_RECV - into one
+        receive slot of one destination.
 
         The whole unit moves as a single write with a single notification
         whose value is iteration+1, so receivers can tell live data from
@@ -238,8 +245,8 @@ class Rank:
         t0 = time.monotonic_ns()
         ticket = self.tr.write_notify(
             WriteRequest(
-                local_segment=SEG_WORK,
-                local_offset=lay.offset(work_slot, unit),
+                local_segment=source,
+                local_offset=lay.offset(0, unit),
                 rank=dest_rank,
                 remote_segment=SEG_RECV,
                 remote_offset=lay.offset(slot, unit),
@@ -251,17 +258,18 @@ class Rank:
         self._flights.append((kind, self.k, self._labels[unit], t0, ticket))
 
     def _send_gradient(self, unit: int) -> None:
-        self._send(self.parent, self.parent_slot, unit, GRADIENT, "send_trigger")
+        self._send(self.parent, self.parent_slot, unit, SEG_WORK, "send_trigger")
 
     def _send_model(self, unit: int) -> None:
         for child in self.children:
-            self._send(child, 0, unit, MODEL, "model_forward")
+            self._send(child, 0, unit, SEG_RECV, "model_forward")
 
     def _wait_tickets(self) -> None:
         """Drain this iteration's outgoing writes and time their flights.
 
-        Source buffers in SEG_WORK are reused next iteration, so every
-        ticket must complete before the iteration ends.
+        Source buffers - the gradient and the model in slot 0 - are
+        rewritten next iteration, so every ticket must complete before the
+        iteration ends.
         """
         self.tr.ticket_wait_all(
             [flight[-1] for flight in self._flights], timeout=self.cfg.finalize_timeout_s
@@ -283,10 +291,10 @@ class Rank:
         """Model one layer's backward compute, communicating while it runs.
 
         Until ``compute_inflation_ns`` has passed, the rank runs
-        communication passes - folding, forwarding, applying, installing
-        and relaying whatever arrived - and idles only after a pass that
-        consumed nothing, as a host thread drives one-sided writes while
-        an accelerator computes.  No new guard is needed: the backward
+        communication passes - folding, forwarding, applying and relaying
+        whatever arrived - and idles only after a pass that consumed
+        nothing, as a host thread drives one-sided writes while an
+        accelerator computes.  No new guard is needed: the backward
         pass has already read the weights an update may now overwrite,
         a model unit arrives only after this rank's gradient for it went
         up, and folds stay gated in child-slot order.  A failed peer
@@ -341,7 +349,9 @@ class Rank:
             self.run_turn(layer, gradient)
             self._turn_clock = time.monotonic_ns()
 
-        _, loss = net.backward_from_cache(self.specs, self.model_views, cache, t, emit)
+        _, loss = net.backward_from_cache(
+            self.specs, self.model_views, cache, t, emit, out=self.grad_views
+        )
         self.losses.append(loss)
         self.finalize_iteration()
         if self._fenced:
@@ -352,8 +362,14 @@ class Rank:
         self.state = TurnState(len(self.units), len(self.children))
 
     def run_turn(self, layer: int, gradient) -> None:
-        """Store one layer's local gradient; publish its unit if it is the lowest layer."""
-        self.grad_views[layer][:] = gradient
+        """Take one layer's local gradient; publish its unit if it is the lowest layer.
+
+        The training loop's backward pass computes into ``grad_views``, so
+        ``gradient`` is normally that very view; any other array is copied
+        into it.
+        """
+        if gradient is not self.grad_views[layer]:
+            self.grad_views[layer][:] = gradient
         unit = self._unit_at.get(layer)
         if unit is None:
             return
@@ -395,18 +411,16 @@ class Rank:
         first, stop = self.units[unit]
         for layer in range(first, stop):
             t0 = time.monotonic_ns()
-            self.model_views[layer][:] = master_update(
-                self.model_views[layer], self.grad_views[layer], self.cfg.epsilon
-            )
+            apply_update(self.model_views[layer], self.grad_views[layer], self.cfg.epsilon)
             self._record("master_update", layer, t0, time.monotonic_ns())
 
     def _comm_pass(self) -> bool:
         """One non-blocking poll of the receive segment, then the work it enables.
 
         Child gradients (slots >= 1) are recorded first, then folded, then
-        arrived model units (slot 0) are installed.  A rank without
-        neighbours never polls.  Returns True when at least one
-        notification was consumed, which is the liveness signal the
+        arrived model units (slot 0), already in place, are relayed.  A
+        rank without neighbours never polls.  Returns True when at least
+        one notification was consumed, which is the liveness signal the
         finalize watchdog feeds on.
         """
         t_pass = time.monotonic_ns()
@@ -472,7 +486,6 @@ class Rank:
                 "gradient contribution went up"
             )
         self._record("recv_notify", self._labels[unit], t_pass, time.monotonic_ns())
-        self.unit_model_views[unit][:] = self._rx(0, unit)
         self._send_model(unit)
         st.model_arrived[unit] = True
 

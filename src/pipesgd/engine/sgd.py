@@ -4,8 +4,9 @@ The distributed engine must produce bit-identical parameters to
 :func:`sequential_sgd`.  That works because both sides share the exact
 same floating point expressions: per-shard gradients are summed child by
 child in ascending rank order up the reduction tree (sequential_sgd
-replays that fold order in one process), and the master applies
-:func:`master_update` to every layer.
+replays that fold order in one process), and every layer is updated by
+:func:`apply_update` - in place on the master, on copies through
+:func:`master_update` in the reference.
 """
 
 from __future__ import annotations
@@ -24,13 +25,24 @@ from .config import TrainConfig
 _TAG_BATCH = 0x6261746368
 
 
+def apply_update(weights: np.ndarray, gradient: np.ndarray, epsilon: float) -> None:
+    """w <- w - epsilon * g in place, with no temporary.
+
+    The gradient is consumed: it holds epsilon * g afterwards.
+    """
+    if weights.shape != gradient.shape:
+        raise ShapeError(
+            f"weights shape {weights.shape} does not match gradient shape {gradient.shape}"
+        )
+    np.multiply(gradient, epsilon, out=gradient)
+    np.subtract(weights, gradient, out=weights)
+
+
 def master_update(weights: np.ndarray, gradient: np.ndarray, epsilon: float) -> np.ndarray:
     """New parameter vector w - epsilon * g; inputs are left untouched."""
-    w = np.asarray(weights, dtype=np.float64)
-    g = np.asarray(gradient, dtype=np.float64)
-    if w.shape != g.shape:
-        raise ShapeError(f"weights shape {w.shape} does not match gradient shape {g.shape}")
-    return w - epsilon * g
+    w = np.array(weights, dtype=np.float64)
+    apply_update(w, np.array(gradient, dtype=np.float64), epsilon)
+    return w
 
 
 def batch_indices(seed: int, iteration: int, batch_size: int, dataset_size: int) -> np.ndarray:

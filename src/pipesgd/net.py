@@ -9,6 +9,7 @@ gradient while earlier layers are still being differentiated.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -172,36 +173,45 @@ def backward_from_cache(
     cache: list[np.ndarray],
     batch_targets: np.ndarray,
     on_layer: Callable[[int, np.ndarray], None] | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], float]:
-    """backward() given an activation cache from a prior forward()."""
+    """backward() given an activation cache from a prior forward().
+
+    ``out`` holds one flat float64 buffer per layer; each layer's gradient
+    is computed straight into its buffer, which is what ``on_layer``
+    receives and what is returned.  Without it the buffers are allocated
+    here.
+    """
     t = np.atleast_2d(np.asarray(batch_targets, dtype=np.float64))
     if cache[0].shape[0] != t.shape[0]:
         raise ShapeError(f"batch has {cache[0].shape[0]} inputs but {t.shape[0]} targets")
     if t.shape[1] != specs[-1].out_dim:
         raise ShapeError(f"target width {t.shape[1]} does not match out_dim {specs[-1].out_dim}")
+    if out is None:
+        out = [np.empty(spec.param_count) for spec in specs]
+    elif len(out) != len(specs):
+        raise ShapeError(f"{len(specs)} layer specs but {len(out)} gradient buffers")
 
     loss = batch_loss(cache[-1], t)
     n_out = specs[-1].out_dim
     b = cache[0].shape[0]
 
-    grads: list[np.ndarray | None] = [None] * len(specs)
     d_a = (cache[-1] - t) / (n_out * b)  # d(batch loss) / d A_L
     for l in range(len(specs) - 1, -1, -1):
         spec = specs[l]
         a_in, a_out = cache[l], cache[l + 1]
         d_z = d_a * (1.0 - a_out * a_out) if spec.activation == "tanh" else d_a
         w, _ = split_params(spec, weights[l])
-        d_w = d_z.T @ a_in
-        d_b = d_z.sum(axis=0)
+        d_w, d_b = split_params(spec, out[l])
+        np.matmul(d_z.T, a_in, out=d_w)
+        np.sum(d_z, axis=0, out=d_b)
         # propagate before emitting: the callback may overwrite this layer's
-        # weights (e.g. install a freshly broadcast model), and d_a needs the
+        # weights (e.g. a freshly broadcast model lands), and d_a needs the
         # values the forward pass used.
         d_a = d_z @ w
-        g = np.concatenate([d_w.ravel(), d_b])
-        grads[l] = g
         if on_layer is not None:
-            on_layer(l, g)
-    return grads, loss  # type: ignore[return-value]
+            on_layer(l, out[l])
+    return list(out), loss
 
 
 def dataset_loss(
@@ -252,6 +262,8 @@ def load_csv_dataset(path: str, in_dim: int, out_dim: int) -> Dataset:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise InputError(f"{path}:{lineno}: values must be finite, got {row}")
             inputs.append(values[:in_dim])
             targets.append(values[in_dim:])
     if not inputs:

@@ -192,6 +192,7 @@ class TestMain:
             ["--latency-per-byte-ns", "-1"],
             ["--input-scale", "nan"],
             ["--input-scale", "inf"],
+            ["--epsilon", "inf", "--verify-oracle"],
         ],
     )
     def test_unrepresentable_values_exit_one(self, flags, capsys):
@@ -201,6 +202,16 @@ class TestMain:
     def test_missing_dataset_csv_exit_one(self, capsys):
         assert main(FAST + ["--dataset-csv", "/nonexistent/data.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_dataset_csv_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("0.1,0.2,nan\n0.3,0.4,0.5\n")
+        argv = [
+            "--layers", "2,1", "--batch", "4", "--iters", "2", "--quiet",
+            "--dataset-csv", str(path), "--verify-oracle",
+        ]
+        assert main(argv) == 1
+        assert f"error: {path}:1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--timeline", "--checkpoint", "--metrics"])
     def test_missing_artifact_directory_fails_before_training(self, flag, tmp_path, capsys):

@@ -20,8 +20,7 @@ from pipesgd.engine import (
     serialize_model,
     tree_reduce,
 )
-from pipesgd.engine.layout import GRADIENT, MODEL
-from pipesgd.engine.sgd import shard_bounds
+from pipesgd.engine.sgd import apply_update, shard_bounds
 from pipesgd.errors import ConfigError, FormatError, ShapeError
 from pipesgd.topology import build_reduction_tree
 
@@ -67,6 +66,8 @@ class TestTrainConfig:
             {"dataset_size": True},
             {"layer_dims": (4.5, 3)},
             {"layer_dims": (4, "3")},
+            {"epsilon": float("inf")},
+            {"finalize_timeout_s": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -86,8 +87,8 @@ class TestSegmentLayout:
         assert lay.unit_offsets == [0, 80, 112]
         assert lay.total_bytes == 160
         assert lay.size(2) == 320
-        assert lay.offset(MODEL, 2) == 112
-        assert lay.offset(GRADIENT, 0) == 160
+        assert lay.offset(0, 2) == 112
+        assert lay.offset(1, 0) == 160
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 4])
     @pytest.mark.parametrize("counts", [[3], [10, 4], [100, 1, 50], [7, 7, 7, 7]])
@@ -133,6 +134,8 @@ class TestMasterUpdate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             master_update(np.ones(3), np.ones(4), 0.1)
+        with pytest.raises(ShapeError):
+            apply_update(np.ones(3), np.ones(4), 0.1)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
@@ -142,6 +145,21 @@ class TestMasterUpdate:
         w = np.array(values)
         g = np.array(values[::-1])
         assert np.array_equal(master_update(w, g, eps), w - eps * g)
+
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+        st.floats(1e-6, 10.0),
+    )
+    def test_apply_update_is_master_update_in_place(self, values, eps):
+        """The in-place rule gives master_update's bytes and leaves
+        epsilon * g in the consumed gradient."""
+        w = np.array(values)
+        g = np.array(values[::-1])
+        want = master_update(w, g, eps)
+        scaled = eps * g
+        apply_update(w, g, eps)
+        assert w.tobytes() == want.tobytes()
+        assert g.tobytes() == scaled.tobytes()
 
 
 class TestBatchIndices:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipesgd import net
 from pipesgd.errors import ConfigError, InputError, ShapeError
@@ -203,6 +205,46 @@ class TestBackward:
         for ga, gb in zip(a, b):
             assert np.array_equal(ga, gb)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_out_buffers_take_the_gradients_in_place(self, dims, batch, seed):
+        """With ``out``, each gradient is computed into its buffer - views of
+        one flat region, as the engine passes them - byte-equal to the
+        allocating path, and ``on_layer`` receives the buffer itself."""
+        specs = specs_from_dims(dims)
+        model = init_model(seed, specs)
+        x = net.seeded_fill(seed ^ 1, batch * dims[0], 1.0).reshape(batch, dims[0])
+        t = net.seeded_fill(seed ^ 2, batch * dims[-1], 1.0).reshape(batch, dims[-1])
+        _, cache = forward(specs, model.layers, x)
+        want, want_loss = backward_from_cache(specs, model.layers, cache, t)
+
+        bounds = np.cumsum([0] + [s.param_count for s in specs])
+        flat = np.full(bounds[-1], np.nan)
+        bufs = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        emitted = []
+        got, loss = backward_from_cache(
+            specs, model.layers, cache, t, lambda l, g: emitted.append((l, g)), out=bufs
+        )
+        assert loss == want_loss
+        assert [l for l, _ in emitted] == list(reversed(range(len(specs))))
+        assert all(g is bufs[l] for l, g in emitted)
+        assert all(a is b for a, b in zip(got, bufs))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(bufs, want))
+
+    def test_out_buffers_must_match_the_layers(self):
+        specs = specs_from_dims([3, 4, 2])
+        model = init_model(5, specs)
+        x, t = np.ones((2, 3)), np.zeros((2, 2))
+        _, cache = forward(specs, model.layers, x)
+        with pytest.raises(ShapeError):
+            backward_from_cache(specs, model.layers, cache, t, out=[np.empty(16)])
+        with pytest.raises(ShapeError):
+            backward_from_cache(specs, model.layers, cache, t, out=[np.empty(16), np.empty(9)])
+
     def test_rejects_empty_batch(self):
         specs = specs_from_dims([3, 2])
         with pytest.raises(InputError):
@@ -269,6 +311,13 @@ class TestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,x\n")
         with pytest.raises(InputError, match="bad.csv:1"):
+            load_csv_dataset(str(path), 2, 1)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_csv_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.3,0.4,0.5\n0.1,0.2,{bad}\n")
+        with pytest.raises(InputError, match="bad.csv:2: values must be finite"):
             load_csv_dataset(str(path), 2, 1)
 
     def test_dataset_loss_is_finite_and_positive(self):

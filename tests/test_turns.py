@@ -6,6 +6,7 @@ publish a gradient here, poll there, and inspect the state in between.
 """
 
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipesgd import net
-from pipesgd.engine import SEG_RECV, Rank, TrainConfig, runtime, sequential_sgd
+from pipesgd.engine import SEG_RECV, Rank, TrainConfig, master_update, runtime, sequential_sgd
 from pipesgd.engine.runtime import plan_units
 from pipesgd.errors import ProtocolError, RangeError
 from pipesgd.harness import run_inproc
@@ -109,18 +110,23 @@ class TestLeafTurn:
         assert r1.state.gradient_forwarded[0]
 
     def test_fold_waits_for_local_gradient(self, make_ranks):
-        """Child data buffered before this rank's own turn folds only after it."""
-        _, _, (r0, r1) = make_ranks(2)
+        """Child data buffered before this rank's own turn folds only after it.
+
+        The master's update consumes the folded gradient in place, so the
+        sum shows through the updated weights."""
+        cfg, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         r1.begin_iteration(0)
         r1.run_turn(0, grad(r1, 1.0))
         r0._comm_pass()
         assert r0.state.child_arrived[0] == {0}
         assert r0.fold_counts[0] == 0
+        w0 = r0.model_views[0].copy()
         g0 = grad(r0, 10.0)
         r0.run_turn(0, g0)
         assert r0.fold_counts[0] == 1
-        assert r0.grad_views[0].tolist() == [11.0] * g0.size
+        want = master_update(w0, np.full(g0.size, 11.0), cfg.epsilon)
+        assert r0.model_views[0].tobytes() == want.tobytes()
 
 
 class TestFoldOrder:
@@ -291,6 +297,74 @@ class TestReceiveSegment:
             assert tr.polls == 1
         finally:
             world.close()
+
+
+class TestCopyFree:
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_model_lives_in_receive_slot_zero(self, monkeypatch, pattern):
+        """After a 4-rank run, every rank's weights are views of slot 0 of
+        its receive segment - where its parent's model writes land - and its
+        gradients are views of its one-slot SEG_WORK, and the result still
+        matches the reference bit for bit."""
+        seen = {}
+        run = Rank.run
+
+        def check(r):
+            result = run(r)
+            slot0 = r.seg_recv.data[: r.layout.total_bytes]
+            seen[r.rank] = (
+                all(np.shares_memory(v, slot0) for v in r.model_views),
+                all(np.shares_memory(g, r.seg_work.data) for g in r.grad_views),
+                r.seg_work.size == r.layout.size(1),
+            )
+            return result
+
+        monkeypatch.setattr(Rank, "run", check)
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 3), world_size=4, iterations=2, batch_size=8,
+            dataset_size=16, seed=7, pattern=pattern, compute_inflation_ns=1_000_000,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        results = run_inproc(cfg, ds)
+        assert seen == {r: (True, True, True) for r in range(4)}
+        reference = sequential_sgd(cfg, ds)
+        for r in results:
+            for got, want in zip(r.model, reference.layers):
+                assert got.tobytes() == want.tobytes()
+
+    def test_no_layer_sized_allocations(self, make_ranks):
+        """The backward pass into SEG_WORK, the master's update and a model
+        arrival on a relay allocate nothing on the scale of a layer."""
+        _, _, ranks = make_ranks(4, layer_dims=(256, 256, 2), batch_size=4)
+        r0, r1, r2, r3 = ranks
+        layer_bytes = 8 * r0.specs[0].param_count
+        for r in ranks:
+            r.begin_iteration(0)
+        x, t = r0._shard(0)
+        _, cache = net.forward(r0.specs, r0.model_views, x)
+
+        def peak_bytes(step):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            backward = peak_bytes(lambda: net.backward_from_cache(
+                r0.specs, r0.model_views, cache, t, out=r0.grad_views
+            ))
+            update = peak_bytes(lambda: r0._apply_update(0))
+            r3.run_turn(0, grad(r3, 1.0))
+            r2.run_turn(0, grad(r2, 1.0))
+            r1.run_turn(0, grad(r1, 1.0))
+            r0.run_turn(0, r0.grad_views[0])  # folds, updates, sends models down
+            arrival = peak_bytes(r2._comm_pass)
+        finally:
+            tracemalloc.stop()
+        assert r2.state.model_arrived[0]
+        assert r3.tr.notify_poll(SEG_RECV, r3.layout.notif_id(0, 0), 1)  # relayed on
+        assert max(backward, update, arrival) < layer_bytes // 16, (backward, update, arrival)
 
 
 class TestCrossIteration:
