@@ -106,7 +106,7 @@ def format_rows(rows: list[dict]) -> list[str]:
             lines.append(f"  {r['metric']:26} base runs {r['base_n']}, head runs {r['head_n']}:"
                          f" {r['verdict']}")
             continue
-        cells = [f"{m:.4g} [{q1:.4g}, {q3:.4g}]" for q1, m, q3 in (r["base"], r["head"])]
+        cells = [f"{m:.5g} [{q1:.5g}, {q3:.5g}]" for q1, m, q3 in (r["base"], r["head"])]
         lines.append(
             f"  {r['metric']:26} {cells[0]:>32} {cells[1]:>32} {r['change']:+8.1%}"
             f" {r['base_iqr']:8.1%} {r['wins']:>3}/{r['pairs']:<2}  {r['verdict']}"
