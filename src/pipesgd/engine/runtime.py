@@ -265,11 +265,11 @@ class Rank:
             self._send(child, 0, unit, SEG_RECV, "model_forward")
 
     def _wait_tickets(self) -> None:
-        """Drain this iteration's outgoing writes and time their flights.
+        """Wait out this iteration's outgoing flights and record them.
 
-        Source buffers - the gradient and the model in slot 0 - are
-        rewritten next iteration, so every ticket must complete before the
-        iteration ends.
+        Every write has already left its source buffer, but the iteration
+        ends only once its writes' modeled flights are over, so a rank
+        cannot run ahead of the latency its peers see.
         """
         self.tr.ticket_wait_all(
             [flight[-1] for flight in self._flights], timeout=self.cfg.finalize_timeout_s

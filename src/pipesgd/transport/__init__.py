@@ -8,7 +8,6 @@ from .base import (
     Ticket,
     TransportBase,
     WriteRequest,
-    completed_ticket,
 )
 from .inproc import InprocTransport, InprocWorld
 from .tcp import TcpTransport, bind_listener
@@ -33,7 +32,6 @@ __all__ = [
     "Ticket",
     "TransportBase",
     "WriteRequest",
-    "completed_ticket",
     "pack_hello",
     "pack_write_notify",
     "unpack_hello",

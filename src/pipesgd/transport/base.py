@@ -6,23 +6,24 @@ notification fires after the last payload byte is visible
 (:meth:`Segment.land`), and polling is non-blocking; that happens-before
 edge is the only synchronization the training protocol relies on.
 
-Backends differ only in how a write reaches its peer.  Injected latency
-and in-order delivery per directed link are common to all of them: a
-:class:`DelayedLink` queues a transport's writes to one peer, waits each
-one's modeled flight time and hands it to the backend's delivery callback.
-The sending transport owns its links and stops them on ``close``.  Writes
-are checked on the sending side first (:meth:`TransportBase._source`): a
-closed or failed transport, an unknown destination rank or a bad local
-range raises at once.
+Backends differ only in how a write reaches its peer; each completes it
+in the writer's own thread, as ``gaspi_write_notify`` posts a write from
+its caller.  Injected latency is not a delay on that thread but the time
+a notification becomes visible: every directed link keeps a clock, and a
+write posted at ``now`` ends its flight at ``max(now, end of the link's
+previous flight) + latency``, so writes on one link stay in trigger
+order.  :class:`Notifications` hides a fired notification until its
+flight is over, and the write's :class:`Ticket` is that time.  Writes are
+checked on the sending side first (:meth:`TransportBase._post`): a closed
+or failed transport, an unknown destination rank or a bad local range
+raises at once.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 import threading
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,21 +45,19 @@ class LatencyModel:
         if not (0 <= self.fixed_ns < math.inf and 0 <= self.per_byte_ns < math.inf):
             raise ConfigError(f"latency must be finite and >= 0, got {self}")
 
-    def delay_seconds(self, size_bytes: int) -> float:
-        return (self.fixed_ns + size_bytes * self.per_byte_ns) * 1e-9
-
-    @property
-    def is_zero(self) -> bool:
-        return self.fixed_ns == 0 and self.per_byte_ns == 0.0
+    def flight_end(self, size_bytes: int, link_free_ns: int) -> int:
+        """Monotonic time a write of ``size_bytes`` posted now ends its
+        flight on a link whose previous flight ends at ``link_free_ns``."""
+        delay_ns = int(self.fixed_ns + size_bytes * self.per_byte_ns)
+        return max(time.monotonic_ns(), link_free_ns) + delay_ns
 
 
 @dataclass(frozen=True)
 class WriteRequest:
     """One one-sided write: local source range -> remote segment range.
 
-    The source range must stay unmodified until the returned ticket
-    completes.  ``notification_value`` must be nonzero; value 0 is the
-    "nothing fired" marker on the receive side.
+    ``notification_value`` must be nonzero; value 0 is the "nothing
+    fired" marker on the receive side.
     """
 
     local_segment: int
@@ -72,56 +71,49 @@ class WriteRequest:
 
 
 class Ticket:
-    """Completion handle for one triggered write."""
+    """Completion handle for one write: the monotonic time, in ns, at which
+    its flight ends and its notification becomes visible to the peer."""
 
-    __slots__ = ("_event", "error", "completed_at_ns")
+    __slots__ = ("completed_at_ns",)
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.error: Exception | None = None
-        self.completed_at_ns: int = 0
-
-    def complete(self) -> None:
-        self.completed_at_ns = time.monotonic_ns()
-        self._event.set()
-
-    def fail(self, exc: Exception) -> None:
-        self.error = exc
-        self.completed_at_ns = time.monotonic_ns()
-        self._event.set()
+    def __init__(self, completed_at_ns: int):
+        self.completed_at_ns = completed_at_ns
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return time.monotonic_ns() >= self.completed_at_ns
 
     def wait(self, timeout: float | None = None) -> None:
-        if not self._event.wait(timeout):
+        """Sleep until the flight is over; raises at once if it ends
+        later than ``timeout`` from now."""
+        left = (self.completed_at_ns - time.monotonic_ns()) * 1e-9
+        if left <= 0:
+            return
+        if timeout is not None and left > timeout:
             raise TransportError(f"write did not complete within {timeout} s")
-        if self.error is not None:
-            raise TransportError(str(self.error)) from self.error
-
-
-def completed_ticket() -> Ticket:
-    t = Ticket()
-    t.complete()
-    return t
+        time.sleep(left)
 
 
 class Notifications:
-    """Fired-notification table of one segment; consume-once via reset."""
+    """Fired-notification table of one segment; consume-once via reset.
+
+    A notification fired with ``visible_at_ns`` stays hidden from poll and
+    reset until the monotonic clock reaches that time.
+    """
 
     def __init__(self, count: int):
         self.count = count
-        self._fired: dict[int, int] = {}
+        # notification id -> (value, visible_at_ns)
+        self._fired: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
 
-    def fire(self, notification_id: int, value: int) -> None:
+    def fire(self, notification_id: int, value: int, visible_at_ns: int = 0) -> None:
         if not (0 <= notification_id < self.count):
             raise RangeError(f"notification id {notification_id} outside 0..{self.count - 1}")
         if value == 0:
             raise ProtocolError("notification value 0 is reserved for 'not fired'")
         with self._lock:
-            self._fired[notification_id] = value
+            self._fired[notification_id] = (value, visible_at_ns)
 
     def poll(self, first_id: int, count: int) -> list[tuple[int, int]]:
         if first_id < 0 or count < 0 or first_id + count > self.count:
@@ -129,17 +121,27 @@ class Notifications:
                 f"poll range [{first_id}, {first_id + count}) outside 0..{self.count - 1}"
             )
         last = first_id + count
+        now = time.monotonic_ns()
         with self._lock:
-            hits = [(nid, v) for nid, v in self._fired.items() if first_id <= nid < last]
+            hits = [
+                (nid, v)
+                for nid, (v, visible_at) in self._fired.items()
+                if first_id <= nid < last and visible_at <= now
+            ]
         hits.sort()
         return hits
 
     def reset(self, notification_id: int) -> int:
-        """Atomically clear one slot; returns its value, 0 if it was not fired."""
+        """Atomically clear one slot; returns its value, 0 if nothing visible
+        has fired there."""
         if not (0 <= notification_id < self.count):
             raise RangeError(f"notification id {notification_id} outside 0..{self.count - 1}")
         with self._lock:
-            return self._fired.pop(notification_id, 0)
+            value, visible_at = self._fired.get(notification_id, (0, 0))
+            if value == 0 or visible_at > time.monotonic_ns():
+                return 0
+            del self._fired[notification_id]
+            return value
 
 
 class Segment:
@@ -171,12 +173,12 @@ class Segment:
         if n:
             self.data[offset : offset + n] = np.frombuffer(payload, dtype=np.uint8)
 
-    def land(self, req: WriteRequest, payload) -> None:
+    def land(self, req: WriteRequest, payload, visible_at_ns: int) -> None:
         """Deliver one write here: copy its payload, then fire its
-        notification, so a poller that sees the notification sees every
-        payload byte."""
+        notification, visible from ``visible_at_ns``, so a poller that
+        sees the notification sees every payload byte."""
         self.write(req.remote_offset, payload)
-        self.notifications.fire(req.notification_id, req.notification_value)
+        self.notifications.fire(req.notification_id, req.notification_value, visible_at_ns)
 
     def read(self, offset: int, size: int) -> bytes:
         self.check_range(offset, size)
@@ -203,8 +205,8 @@ class TransportBase:
         self.latency = latency or LatencyModel()
         self.barrier_calls = 0
         self._segments: dict[int, Segment] = {}
-        # outgoing delayed links by destination rank; close() stops them
-        self._links: dict[int, DelayedLink] = {}
+        # per destination rank: when the link's last flight ends
+        self._link_free_ns = [0] * world_size
         self._closing = False
         # first error that broke this endpoint; raised by later calls
         self._failure: Exception | None = None
@@ -249,18 +251,18 @@ class TransportBase:
 
     # -- writes -------------------------------------------------------------
     def ticket_wait_all(self, tickets, timeout: float | None = None) -> None:
-        """Block until every ticket completes; raises on failure or timeout."""
+        """Block until every ticket's flight is over; raises on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
         for t in tickets:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             t.wait(remaining)
 
-    def _source(self, req: WriteRequest) -> np.ndarray:
-        """Checks the local side of a write; returns its source bytes.
+    def _post(self, req: WriteRequest) -> tuple[np.ndarray, Ticket]:
+        """Checks the local side of a write and times its flight on the
+        link to ``req.rank``; returns its source bytes and its ticket.
 
         A write on a closed or failed transport, or to a rank outside the
-        world, raises here, so it never returns a ticket that cannot
-        complete.
+        world, raises here.
         """
         if self._closing:
             raise TransportError(f"rank {self.rank}: transport is closed")
@@ -273,61 +275,12 @@ class TransportBase:
             raise ProtocolError("notification value 0 is reserved; use values >= 1")
         src = self.segment(req.local_segment)
         src.check_range(req.local_offset, req.size)
-        return src.data[req.local_offset : req.local_offset + req.size]
+        end = self.latency.flight_end(req.size, self._link_free_ns[req.rank])
+        self._link_free_ns[req.rank] = end
+        return src.data[req.local_offset : req.local_offset + req.size], Ticket(end)
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Refuse new writes and stop the outgoing links once their queued
-        writes are delivered.  Call it after this endpoint's last write has
-        returned: a write racing it could start a link that nothing stops."""
+        """Refuse new writes.  Nothing is queued: every write that returned
+        has already left this endpoint."""
         self._closing = True
-        for link in self._links.values():
-            link.close()
-
-
-class DelayedLink:
-    """FIFO delivery over one directed link, after the modeled flight time.
-
-    One thread per link takes writes in trigger order, sleeps
-    ``latency.delay_seconds(size)`` for each and then calls
-    ``deliver(req, payload)``.  The ticket completes after delivery; if
-    delivery raises, the ticket and the owning transport both fail, so the
-    transport's next write or idle poll raises too.
-    """
-
-    def __init__(
-        self,
-        transport: TransportBase,
-        name: str,
-        deliver: Callable[[WriteRequest, np.ndarray], None],
-    ):
-        self._transport = transport
-        self._deliver = deliver
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
-
-    def submit(self, req: WriteRequest, payload: np.ndarray) -> Ticket:
-        ticket = Ticket()
-        self._queue.put((req, payload, ticket))
-        return ticket
-
-    def _run(self) -> None:
-        latency = self._transport.latency
-        while (item := self._queue.get()) is not None:
-            req, payload, ticket = item
-            try:
-                delay = latency.delay_seconds(req.size)
-                if delay > 0:
-                    time.sleep(delay)
-                self._deliver(req, payload)
-                ticket.complete()
-            except Exception as exc:  # surfaced via the transport and the ticket
-                # the transport fails first, so a caller woken by the ticket
-                # already finds it failed
-                self._transport._mark_failed(exc)
-                ticket.fail(exc)
-
-    def close(self) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout=5)

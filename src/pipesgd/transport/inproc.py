@@ -1,12 +1,8 @@
 """In-process transport: every rank is a thread inside one interpreter.
 
-Delivery is performed by the sending side: the payload is copied into the
-target rank's segment, then the notification fires (:meth:`Segment.land`).
-Without injected latency the writer's own thread delivers before
-``write_notify`` returns, which keeps tests fully deterministic.  With
-latency, the sender creates one :class:`DelayedLink` per destination on
-its first write there; it delays each message by the modeled flight time
-and then delivers, so messages on one link stay in trigger order.
+``write_notify`` delivers in the writer's own thread: it copies the
+payload into the target rank's segment, then fires the notification
+(:meth:`Segment.land`), visible once the write's modeled flight is over.
 """
 
 from __future__ import annotations
@@ -14,14 +10,7 @@ from __future__ import annotations
 import threading
 
 from ..errors import ConfigError, RoutingError, TransportError
-from .base import (
-    DelayedLink,
-    LatencyModel,
-    Ticket,
-    TransportBase,
-    WriteRequest,
-    completed_ticket,
-)
+from .base import LatencyModel, Ticket, TransportBase, WriteRequest
 
 
 class InprocWorld:
@@ -44,12 +33,12 @@ class InprocWorld:
         self._transports[rank] = tr
         return tr
 
-    def deliver(self, req: WriteRequest, payload) -> None:
+    def deliver(self, req: WriteRequest, payload, visible_at_ns: int) -> None:
         """Land one write in the destination rank's segment."""
         tr = self._transports.get(req.rank)
         if tr is None:
             raise RoutingError(f"rank {req.rank} has no transport yet")
-        tr.segment(req.remote_segment).land(req, payload)
+        tr.segment(req.remote_segment).land(req, payload, visible_at_ns)
 
     def wait_barrier(self) -> None:
         try:
@@ -76,15 +65,10 @@ class InprocTransport(TransportBase):
         self._world = world
 
     def write_notify(self, req: WriteRequest) -> Ticket:
-        payload = self._source(req)
-        if self.latency.is_zero:
-            self._world.deliver(req, payload)
-            return completed_ticket()
-        link = self._links.get(req.rank)
-        if link is None:
-            link = DelayedLink(self, f"inproc-link-{self.rank}-{req.rank}", self._world.deliver)
-            self._links[req.rank] = link
-        return link.submit(req, payload)
+        """Land one write in the peer's segment before returning."""
+        payload, ticket = self._post(req)
+        self._world.deliver(req, payload, ticket.completed_at_ns)
+        return ticket
 
     def barrier(self) -> None:
         self.barrier_calls += 1

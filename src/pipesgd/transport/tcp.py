@@ -5,10 +5,11 @@ frame naming itself; lower ranks are discovered by accepting and reading
 the hello.  After setup each pair of ranks shares one TCP connection used
 in both directions.
 
-Each peer connection owns two threads on each side: the sender's
-:class:`DelayedLink`, which applies the modeled flight delay and writes
-frames to the socket in trigger order, and a receive loop that applies
-incoming writes to local segments and fires their notifications.  The
+``write_notify`` sends each write as one frame from the writer's own
+thread.  Each peer connection has one receive loop per side, the only
+thread the transport runs: it applies incoming writes to local segments
+and fires their notifications, each visible once the frame's modeled
+flight, timed on the loop's own clock for that link, is over.  The
 receiving application thread never performs a transport call for a
 transfer to complete; it only polls notification slots.  A write to the
 rank itself lands directly in its own segment.
@@ -16,23 +17,13 @@ rank itself lands directly in its own segment.
 
 from __future__ import annotations
 
-import functools
 import socket
 import threading
 import time
 
 from ..errors import ConfigError, ProtocolError, TransportError
 from . import wire
-from .base import (
-    CONTROL_SEGMENT,
-    DelayedLink,
-    LatencyModel,
-    Segment,
-    Ticket,
-    TransportBase,
-    WriteRequest,
-    completed_ticket,
-)
+from .base import CONTROL_SEGMENT, LatencyModel, Segment, Ticket, TransportBase, WriteRequest
 
 _CONNECT_TIMEOUT = 30.0
 _BARRIER_TIMEOUT = 120.0
@@ -80,7 +71,7 @@ class TcpTransport(TransportBase):
         self,
         rank: int,
         world_size: int,
-        listener: socket.socket | None,
+        listener: socket.socket,
         addresses: list[tuple[str, int]],
         latency: LatencyModel | None = None,
     ):
@@ -96,10 +87,7 @@ class TcpTransport(TransportBase):
         # control segment for barrier traffic; bypasses segment_create on
         # purpose, the id is reserved and exists before any peer can write.
         self._segments[CONTROL_SEGMENT] = Segment(CONTROL_SEGMENT, 1, 64)
-        if listener is not None:
-            self._connect_mesh(listener, addresses)
-        elif world_size > 1:
-            raise ConfigError("a bound listening socket is required for world_size > 1")
+        self._connect_mesh(listener, addresses)
 
     # -- mesh setup ---------------------------------------------------------
     def _connect_mesh(self, listener: socket.socket, addresses: list[tuple[str, int]]) -> None:
@@ -126,9 +114,6 @@ class TcpTransport(TransportBase):
             listener.close()
         for peer, sock in self._peers.items():
             sock.settimeout(None)
-            self._links[peer] = DelayedLink(
-                self, f"tcp-send-{self.rank}-{peer}", functools.partial(_send_frame, sock)
-            )
             t = threading.Thread(
                 target=self._recv_loop,
                 args=(peer, sock),
@@ -141,15 +126,20 @@ class TcpTransport(TransportBase):
     # -- receive path -------------------------------------------------------
     def _recv_loop(self, peer: int, sock: socket.socket) -> None:
         """Apply incoming frames: the payload is received straight into its
-        destination range, which is checked before any byte is read."""
+        destination range, which is checked before any byte is read.  Each
+        notification becomes visible when the frame's flight, timed on
+        this loop's clock for the link from ``peer``, is over."""
         header = bytearray(wire.HEADER_SIZE)
+        visible_at = 0
         try:
             while True:
                 if not _recv_into(sock, header):
                     # clean close: the frame stream ended on a boundary, so
-                    # every notification the peer fired is already visible.
-                    # Record it per peer instead of failing the transport;
-                    # waits that still depend on this peer raise themselves.
+                    # once the last flight is over every notification the
+                    # peer fired is visible.  Record it per peer instead of
+                    # failing the transport; waits that still depend on
+                    # this peer raise themselves.
+                    time.sleep(max(0, visible_at - time.monotonic_ns()) * 1e-9)
                     self._peers_closed.add(peer)
                     return
                 fh = wire.unpack_write_notify(bytes(header))
@@ -158,18 +148,29 @@ class TcpTransport(TransportBase):
                 dest = seg.data[fh.dest_offset : fh.dest_offset + fh.payload_size]
                 if not _recv_into(sock, dest):
                     raise TransportError("connection closed before payload")
-                seg.notifications.fire(fh.notification_id, fh.notification_value)
+                visible_at = self.latency.flight_end(fh.payload_size, visible_at)
+                seg.notifications.fire(fh.notification_id, fh.notification_value, visible_at)
         except Exception as exc:
             if not self._closing:
                 self._mark_failed(exc)
 
     # -- one-sided ops ------------------------------------------------------
     def write_notify(self, req: WriteRequest) -> Ticket:
-        payload = self._source(req)
+        """Send one write as a frame from the caller's thread; a write to
+        this rank lands directly.  Only one thread per transport may
+        write: frames from two threads could interleave on a socket, and
+        the peer's magic check would then raise ``FormatError``."""
+        payload, ticket = self._post(req)
         if req.rank == self.rank:
-            self.segment(req.remote_segment).land(req, payload)
-            return completed_ticket()
-        return self._links[req.rank].submit(req, payload)
+            self.segment(req.remote_segment).land(req, payload, ticket.completed_at_ns)
+            return ticket
+        try:
+            _send_frame(self._peers[req.rank], req, payload)
+        except OSError as exc:
+            # a partly sent frame leaves the stream unusable
+            self._mark_failed(exc)
+            raise TransportError(f"rank {self.rank}: send to rank {req.rank} failed: {exc}") from exc
+        return ticket
 
     def notify_poll(self, segment_id: int, first_id: int, count: int) -> list[tuple[int, int]]:
         hits = self.segment(segment_id).notifications.poll(first_id, count)

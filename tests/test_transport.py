@@ -8,7 +8,7 @@ import pytest
 
 from pipesgd.errors import ConfigError, ProtocolError, RangeError, RoutingError, TransportError
 from pipesgd.transport import CONTROL_SEGMENT, InprocWorld, LatencyModel, WriteRequest
-from pipesgd.transport.base import Notifications, Segment, Ticket, completed_ticket
+from pipesgd.transport.base import Notifications, Segment, Ticket
 
 
 def make_world(size=2, latency=None):
@@ -80,20 +80,18 @@ class TestNotifications:
 
 class TestTicket:
     def test_completed_ticket_is_done(self):
-        t = completed_ticket()
+        t = Ticket(time.monotonic_ns())
         assert t.done
         t.wait(0.01)
 
     def test_wait_times_out(self):
-        t = Ticket()
+        """A flight that ends past the timeout raises without sleeping it out."""
+        t = Ticket(time.monotonic_ns() + 10_000_000_000)
+        assert not t.done
+        t0 = time.monotonic()
         with pytest.raises(TransportError, match="did not complete"):
             t.wait(0.01)
-
-    def test_failed_ticket_raises_cause(self):
-        t = Ticket()
-        t.fail(RuntimeError("link down"))
-        with pytest.raises(TransportError, match="link down"):
-            t.wait(0.01)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestInprocWrites:
@@ -132,23 +130,23 @@ class TestInprocWrites:
             a.write_notify(WriteRequest(0, 0, 7, 0, 0, 16, 1, 1))
         world.close()
 
-    def test_remote_range_violation_fails_ticket(self):
-        """A failed delayed delivery fails the ticket and the sender: its
-        next write and its next empty poll raise."""
-        world, (a, _b) = make_world(latency=LatencyModel(fixed_ns=1000, per_byte_ns=0))
-        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 255, 16, 1, 1))
-        with pytest.raises(TransportError):
-            ticket.wait(1.0)
-        with pytest.raises(TransportError, match="outside segment 0"):
-            a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1))
-        with pytest.raises(TransportError, match="outside segment 0"):
-            a.notify_poll(0, 1, 8)
+    @pytest.mark.parametrize(
+        "latency", [None, LatencyModel(fixed_ns=1000)], ids=["zero", "1us-latency"]
+    )
+    def test_remote_range_violation_raises(self, latency):
+        """A write past the end of the peer's segment raises from
+        write_notify itself, at any latency, and fires nothing there."""
+        world, (a, b) = make_world(latency=latency)
+        with pytest.raises(RangeError, match="outside segment 0"):
+            a.write_notify(WriteRequest(0, 0, 1, 0, 255, 16, 1, 1))
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1)).wait(1.0)
+        assert b.notify_poll(0, 1, 8) == [(2, 1)]
         world.close()
 
     @pytest.mark.parametrize("latency", [None, LatencyModel(fixed_ns=1_000_000)])
     def test_write_after_close_raises(self, latency):
-        """A closed world's transports refuse writes at once, whether or not
-        a link to the peer was running."""
+        """A closed world's transports refuse writes at once, at any
+        latency, and what landed before stays consumable."""
         world, (a, b) = make_world(latency=latency)
         a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1)).wait(1.0)
         world.close()
@@ -188,7 +186,7 @@ class TestLatency:
         world, (a, b) = make_world(latency=LatencyModel(fixed_ns=20_000_000, per_byte_ns=0))
         t0 = time.monotonic_ns()
         ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
-        assert not ticket.done, "the write is queued behind a 20 ms link delay"
+        assert not ticket.done, "the write's flight lasts 20 ms"
         ticket.wait(2.0)
         assert ticket.completed_at_ns - t0 >= 20_000_000
         assert b.notify_poll(0, 1, 1) == [(1, 1)]
@@ -215,6 +213,32 @@ class TestLatency:
         transports[0].ticket_wait_all([t1, t2], timeout=2.0)
         elapsed = time.monotonic_ns() - t0
         assert elapsed < 95_000_000, f"independent links took {elapsed} ns, expected ~50 ms"
+        world.close()
+
+    def test_write_lands_inline_and_notifies_after_its_flight(self):
+        """The payload is in the peer's segment when write_notify returns;
+        its notification stays hidden from poll and reset for 40 ms."""
+        world, (a, b) = make_world(latency=LatencyModel(fixed_ns=40_000_000))
+        a.segment(0).write(0, b"\x5a" * 16)
+        t0 = time.monotonic_ns()
+        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 32, 16, 4, 7))
+        assert bytes(b.segment(0).read(32, 16)) == b"\x5a" * 16
+        assert b.notify_poll(0, 1, 15) == []
+        assert b.notify_reset(0, 4) == 0
+        assert time.monotonic_ns() - t0 < 40_000_000, "checks above ran after the flight"
+        assert ticket.completed_at_ns - t0 >= 40_000_000
+        ticket.wait(2.0)
+        assert b.notify_poll(0, 1, 15) == [(4, 7)]
+        assert b.notify_reset(0, 4) == 7
+        world.close()
+
+    def test_latency_starts_no_threads(self):
+        before = set(threading.enumerate())
+        world, transports = make_world(3, latency=LatencyModel(fixed_ns=1_000_000))
+        for src in transports:
+            for dst in range(3):
+                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1)).wait(1.0)
+        assert [t.name for t in threading.enumerate() if t not in before] == []
         world.close()
 
     def test_same_link_is_fifo(self):

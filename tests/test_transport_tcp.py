@@ -85,6 +85,35 @@ class TestMesh:
         assert time.monotonic_ns() - t0 >= 30_000_000
         close_all([a, b])
 
+    def test_only_receive_loops_run(self):
+        """Each rank runs one receive loop per peer and no other thread."""
+        before = set(threading.enumerate())
+        transports = start_mesh(3)
+        for src in transports:
+            for dst in range(3):
+                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1)).wait(5.0)
+        names = sorted(t.name for t in threading.enumerate() if t not in before)
+        assert names == [f"tcp-recv-{r}-{p}" for r in range(3) for p in range(3) if p != r]
+        close_all(transports)
+
+    def test_barrier_pays_the_link_latency(self):
+        latency_ns = 40_000_000
+        transports = start_mesh(2, latency=LatencyModel(fixed_ns=latency_ns))
+        entered, left = {}, {}
+
+        def body(tr):
+            entered[tr.rank] = time.monotonic_ns()
+            tr.barrier()
+            left[tr.rank] = time.monotonic_ns()
+
+        threads = [threading.Thread(target=body, args=(tr,)) for tr in transports]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert min(left.values()) - max(entered.values()) >= latency_ns
+        close_all(transports)
+
     def test_barrier_synchronizes_three_ranks(self):
         transports = start_mesh(3)
         order = []
@@ -173,6 +202,27 @@ class TestFailure:
                 time.sleep(0.002)
         assert b.segment(0).notifications.poll(5, 1) == []
         close_all([a, b])
+
+    def test_close_is_seen_after_the_last_flight(self):
+        """A peer that writes under 40 ms of latency and closes at once:
+        its write becomes visible after the flight, and its close only
+        after the write."""
+        latency_ns = 40_000_000
+        a, b = start_mesh(2, latency=LatencyModel(fixed_ns=latency_ns))
+        t0 = time.monotonic_ns()
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 8, 1, 1))
+        a.close()
+        deadline = time.monotonic() + 5
+        while not b.notify_poll(0, 1, 8):
+            assert time.monotonic() < deadline, "the write never became visible"
+            time.sleep(0.001)
+        assert time.monotonic_ns() - t0 >= latency_ns
+        assert b.notify_reset(0, 1) == 1
+        with pytest.raises(TransportError, match="rank 0 closed its connection"):
+            while time.monotonic() < deadline:
+                b.notify_poll(0, 1, 8)
+                time.sleep(0.001)
+        b.close()
 
     def test_poll_surfaces_peer_failure_when_idle(self):
         a, b = start_mesh(2)
