@@ -289,6 +289,24 @@ class TestBarrier:
 
 
 class TestConcurrency:
+    def test_notification_fires_after_its_payload_landed(self, monkeypatch):
+        """Delivery runs in the writer's thread, so no delivery thread races
+        a poller; the payload-before-notification order is checked where
+        it is made."""
+        world, (a, b) = make_world()
+        a.segment(0).write(0, b"\x77" * 16)
+        seen = []
+        fire = Notifications.fire
+
+        def checked_fire(notifications, notification_id, value, visible_at_ns=0):
+            seen.append(b.segment(0).read(64, 16))
+            fire(notifications, notification_id, value, visible_at_ns)
+
+        monkeypatch.setattr(Notifications, "fire", checked_fire)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 64, 16, 1, 1))
+        assert seen == [b"\x77" * 16]
+        world.close()
+
     def test_many_concurrent_writers_one_reader(self):
         """Interleaved writes from several threads all land intact."""
         world = InprocWorld(4, LatencyModel(fixed_ns=100_000, per_byte_ns=0))

@@ -111,6 +111,7 @@ class TestMesh:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert sorted(left) == [0, 1], "a barrier did not return"
         assert min(left.values()) - max(entered.values()) >= latency_ns
         close_all(transports)
 
