@@ -252,10 +252,7 @@ class TransportBase:
     # -- writes -------------------------------------------------------------
     def ticket_wait_all(self, tickets, timeout: float | None = None) -> None:
         """Block until every ticket's flight is over; raises on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for t in tickets:
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            t.wait(remaining)
+        Ticket(max((t.completed_at_ns for t in tickets), default=0)).wait(timeout)
 
     def _post(self, req: WriteRequest) -> tuple[np.ndarray, Ticket]:
         """Checks the local side of a write and times its flight on the
