@@ -12,9 +12,9 @@ from ..net import DenseLayerSpec, specs_from_dims
 PATTERNS = ("pipelined", "barrier")
 
 # Notification values travel in a u32 wire field.  Engine values reach
-# `iterations`; the tcp barrier's sequence number reaches 2*iterations + 2
-# under the barrier pattern (one rendezvous, two fences per iteration, one
-# teardown hold), which must stay below 2**32.
+# `iterations`; the tcp barrier's sequence number reaches 2*iterations + 1
+# under the barrier pattern (one rendezvous, two fences per iteration),
+# which must stay below 2**32.
 MAX_ITERATIONS = 2**31 - 2
 
 _INT_FIELDS = (

@@ -5,7 +5,8 @@ Two launchers share every bit of engine code; LAUNCHERS names them by transport:
   run_inproc  one thread per rank over the in-process transport,
   run_tcp     one process per rank over the TCP mesh; every listener is
               bound before the fork, rank 0 runs in the calling process,
-              and each forked child sends its RankResult back over a queue.
+              and each forked child sends its RankResult back over a queue,
+              then holds its mesh open until the launcher releases it.
 
 run_benchmark drives one or both patterns over one dataset, verifies
 against the single-process reference optimizer on request, and reports
@@ -103,7 +104,11 @@ def _tcp_child(
     listeners: list[socket.socket],
     addresses: list[tuple[str, int]],
     result_queue,
+    hold,
 ) -> None:
+    hold_end, release_end = hold
+    # only the launcher may keep the write end open, or EOF never comes
+    release_end.close()
     transport = None
     try:
         for r, listener in enumerate(listeners):
@@ -111,9 +116,9 @@ def _tcp_child(
                 listener.close()
         transport = TcpTransport(rank, config.world_size, listeners[rank], addresses, latency)
         result_queue.put((rank, Rank(config, dataset, transport, record).run()))
-        # hold the mesh open until every rank has finished and reported, so
-        # nobody interprets our teardown as a peer failure
-        transport.barrier()
+        # a peer that sees this mesh close fails, so hold it open until the
+        # launcher closes its end: it has every report, it failed, or it died
+        hold_end.poll(None)
     except BaseException:  # noqa: BLE001 - marshalled to the parent
         result_queue.put((rank, traceback.format_exc()))
         # flush the report into the pipe before closing the mesh below, so
@@ -171,13 +176,17 @@ def run_tcp(
     Every rank's listener is bound here before the fork, so each forked
     child inherits its listener and the full address list, and the dataset
     bytes without any serialization; each child sends its RankResult back
-    over a queue.  A failure is raised as ``rank N failed: ...`` for the
-    rank that caused it: a child's own traceback, or its exit code when it
-    died without a report.
+    over a queue, then blocks on a one-way pipe whose write end only this
+    process keeps.  Closing that end releases them all once every report
+    is in, or at once on a failure; a dead launcher releases them too.  A
+    failure is raised as ``rank N failed: ...`` for the rank that caused
+    it: a child's own traceback, or its exit code when it died without a
+    report.
     """
     world = config.world_size
     ctx = multiprocessing.get_context("fork")
     result_queue = ctx.Queue()
+    hold = ctx.Pipe(duplex=False)  # (read end, write end)
     listeners: list[socket.socket] = []
     children: list[multiprocessing.process.BaseProcess] = []
     transport = None
@@ -185,12 +194,9 @@ def run_tcp(
         for _ in range(world):
             listeners.append(bind_listener())
         addresses = [listener.getsockname()[:2] for listener in listeners]
+        shared = (config, dataset, latency, record, listeners, addresses, result_queue, hold)
         for r in range(1, world):
-            child = ctx.Process(
-                target=_tcp_child,
-                args=(r, config, dataset, latency, record, listeners, addresses, result_queue),
-                daemon=True,
-            )
+            child = ctx.Process(target=_tcp_child, args=(r, *shared), daemon=True)
             child.start()
             children.append(child)
         for listener in listeners[1:]:
@@ -220,10 +226,12 @@ def run_tcp(
             failure = _child_failure(children, reports)
             if failure is not None:
                 raise failure
-        # everyone reported; release the children from their teardown hold
-        transport.barrier()
         return sorted(results + [r for _, r in reports], key=lambda result: result.rank)
     finally:
+        # every report is in, or the launch failed: closing the write end
+        # releases every child from its hold
+        hold[1].close()
+        hold[0].close()
         for listener in listeners:
             listener.close()
         if transport is not None:
@@ -314,10 +322,19 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
         raise ConfigError(
             f"unknown transport {options.transport!r}; choose {' or '.join(LAUNCHERS)}"
         )
+    multiple = len(options.patterns) > 1
     # artifacts are written after training, so a bad path must fail first
-    for path in (options.timeline_path, options.checkpoint_path, options.metrics_path):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    paths = [options.metrics_path] + [
+        _pattern_path(path, pattern, multiple)
+        for path in (options.timeline_path, options.checkpoint_path)
+        if path
+        for pattern in options.patterns
+    ]
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
     config = options.config
     dataset = build_dataset(config, options.dataset_csv)
     sha = dataset_sha256(dataset)
@@ -325,7 +342,6 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
 
     reports: dict[str, BenchReport] = {}
     metric_lines: list[str] = [f"dataset_sha256={sha}"]
-    multiple = len(options.patterns) > 1
     for pattern in options.patterns:
         cfg = config.replace(pattern=pattern)
         results = launch(cfg, dataset, options.latency, record=True)

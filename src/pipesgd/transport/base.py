@@ -32,6 +32,8 @@ from ..errors import ConfigError, ProtocolError, RangeError, RoutingError, Trans
 
 # segment id reserved for transport-internal control traffic (barrier).
 CONTROL_SEGMENT = 15
+# how long any rank waits in one fence for its peers, on every backend
+BARRIER_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 
 from ..errors import ConfigError, RoutingError, TransportError
+from . import base
 from .base import LatencyModel, Ticket, TransportBase, WriteRequest
 
 
@@ -22,7 +23,7 @@ class InprocWorld:
         self.world_size = world_size
         self.latency = latency or LatencyModel()
         self._transports: dict[int, InprocTransport] = {}
-        self._barrier = threading.Barrier(world_size)
+        self._barrier = threading.Barrier(world_size, timeout=base.BARRIER_TIMEOUT_S)
 
     def transport(self, rank: int) -> "InprocTransport":
         if not (0 <= rank < self.world_size):
@@ -44,7 +45,7 @@ class InprocWorld:
         try:
             self._barrier.wait()
         except threading.BrokenBarrierError as exc:
-            raise TransportError("barrier broken; a peer failed") from exc
+            raise TransportError("barrier broken: a peer failed or timed out") from exc
 
     def abort_barrier(self) -> None:
         """Break the barrier and fail every rank's transport, so peers of a

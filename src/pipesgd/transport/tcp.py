@@ -13,6 +13,12 @@ flight, timed on the loop's own clock for that link, is over.  The
 receiving application thread never performs a transport call for a
 transfer to complete; it only polls notification slots.  A write to the
 rank itself lands directly in its own segment.
+
+A peer that goes away is a failed peer, whether its connection breaks or
+closes cleanly: once that peer's last flight is over, the receive loop
+fails the transport, and its next write, empty poll or fence raises.
+Ranks that finish therefore keep their mesh open until their launcher
+releases them.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ import threading
 import time
 
 from ..errors import ConfigError, ProtocolError, TransportError
-from . import wire
+from . import base, wire
 from .base import CONTROL_SEGMENT, LatencyModel, Segment, Ticket, TransportBase, WriteRequest
 
 _CONNECT_TIMEOUT = 30.0
-_BARRIER_TIMEOUT = 120.0
 _POLL_SLEEP = 2e-5
 
 
@@ -78,9 +83,6 @@ class TcpTransport(TransportBase):
         super().__init__(rank, world_size, latency)
         if world_size > 1 and len(addresses) != world_size:
             raise ConfigError(f"need {world_size} addresses, got {len(addresses)}")
-        # peers that closed their side cleanly (EOF on a frame boundary);
-        # everything they ever sent has already been applied by then
-        self._peers_closed: set[int] = set()
         self._peers: dict[int, socket.socket] = {}
         self._recv_threads: list[threading.Thread] = []
         self._barrier_seq = 0
@@ -136,12 +138,10 @@ class TcpTransport(TransportBase):
                 if not _recv_into(sock, header):
                     # clean close: the frame stream ended on a boundary, so
                     # once the last flight is over every notification the
-                    # peer fired is visible.  Record it per peer instead of
-                    # failing the transport; waits that still depend on
-                    # this peer raise themselves.
+                    # peer fired is visible; only then does the close fail
+                    # this endpoint
                     time.sleep(max(0, visible_at - time.monotonic_ns()) * 1e-9)
-                    self._peers_closed.add(peer)
-                    return
+                    raise TransportError(f"rank {peer} closed its connection")
                 fh = wire.unpack_write_notify(bytes(header))
                 seg = self.segment(fh.dest_segment)
                 seg.check_range(fh.dest_offset, fh.payload_size)
@@ -172,16 +172,9 @@ class TcpTransport(TransportBase):
             raise TransportError(f"rank {self.rank}: send to rank {req.rank} failed: {exc}") from exc
         return ticket
 
-    def notify_poll(self, segment_id: int, first_id: int, count: int) -> list[tuple[int, int]]:
-        hits = self.segment(segment_id).notifications.poll(first_id, count)
-        if not hits:
-            # only surface peer loss when there is nothing left to consume;
-            # already-delivered data stays readable during teardown.
-            self._check_failed()
-            if self._peers_closed and not self._closing:
-                gone = min(self._peers_closed)
-                raise TransportError(f"rank {gone} closed its connection")
-        return hits
+    # the base poll, bound here so that wrappers installed through each
+    # class's own __dict__ see tcp polls once
+    notify_poll = TransportBase.notify_poll
 
     # -- collective ---------------------------------------------------------
     def barrier(self) -> None:
@@ -200,12 +193,11 @@ class TcpTransport(TransportBase):
         control = self._segments[CONTROL_SEGMENT]
         for t in range(rounds):
             dst = (self.rank + (1 << t)) % self.world_size
-            src = (self.rank - (1 << t)) % self.world_size
             nid = 1 + 2 * t + (seq & 1)
             self.write_notify(
                 WriteRequest(CONTROL_SEGMENT, 0, dst, CONTROL_SEGMENT, 0, 0, nid, seq)
             )
-            deadline = time.monotonic() + _BARRIER_TIMEOUT
+            deadline = time.monotonic() + base.BARRIER_TIMEOUT_S
             while True:
                 got = control.notifications.reset(nid)
                 if got == seq:
@@ -213,17 +205,8 @@ class TcpTransport(TransportBase):
                 if got != 0:
                     raise ProtocolError(f"barrier slot held {got}, expected {seq}")
                 self._check_failed()
-                if src in self._peers_closed:
-                    # a clean close delivers everything first, so one more
-                    # look at the slot decides whether the peer made it
-                    got = control.notifications.reset(nid)
-                    if got == seq:
-                        break
-                    raise TransportError(
-                        f"rank {src} closed its connection before completing the barrier"
-                    )
                 if time.monotonic() > deadline:
-                    raise TransportError(f"barrier timed out after {_BARRIER_TIMEOUT} s")
+                    raise TransportError(f"barrier timed out after {base.BARRIER_TIMEOUT_S} s")
                 time.sleep(_POLL_SLEEP)
 
     # -- lifecycle ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fixtures shared by every test module."""
 
+import multiprocessing
 import threading
 import time
 
@@ -31,3 +32,22 @@ def no_leaked_transport_threads():
         time.sleep(0.01)
     if leaked:
         pytest.fail(f"transport threads left running: {', '.join(leaked)}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_rank_processes():
+    """Fail a test that leaves a forked rank running.
+
+    A launcher joins every child it forks, or kills it; a child still
+    alive a second after the test outlived the launcher that owned it.
+    """
+    yield
+    deadline = time.monotonic() + _LEAK_GRACE_S
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.kill()
+        child.join(timeout=5)
+    if leaked:
+        pytest.fail(f"rank processes left running: {', '.join(map(str, leaked))}")

@@ -181,8 +181,10 @@ def test_criterion_3_notification_happens_before():
     seg_size = _MAX_PAYLOAD + 4 + 64
     corrupt = {}
 
-    # in-process backend; the tiny latency forces delivery onto the link
-    # worker thread, racing the polling thread for real
+    # in-process backend: the writer's thread lands each write, and the tiny
+    # latency hides its notification until the flight ends; the order of
+    # payload and notification is pinned by test_transport.py's
+    # TestConcurrency::test_notification_fires_after_its_payload_landed
     world = InprocWorld(2, LatencyModel(fixed_ns=1, per_byte_ns=0.0))
     a, b = world.transport(0), world.transport(1)
     for tr in (a, b):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pipesgd
+from pipesgd import harness
 from pipesgd.cli import build_parser, main, options_from_args
 from pipesgd.engine import TrainConfig, load_model
 from pipesgd.errors import UsageError
@@ -220,6 +221,14 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "error:" in err
         assert "pipelined.wall_clock_ns" not in out
+
+    @pytest.mark.parametrize("flag", ["--timeline", "--checkpoint", "--metrics"])
+    def test_directory_artifact_fails_before_training(self, flag, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(
+            harness.LAUNCHERS, "inproc", lambda *a, **kw: pytest.fail("training started")
+        )
+        assert main(FAST + [flag, str(tmp_path) + os.sep]) == 1
+        assert "is a directory" in capsys.readouterr().err
 
     def test_artifacts_written(self, tmp_path, capsys):
         timeline = str(tmp_path / "timeline.csv")

@@ -2,12 +2,14 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from pipesgd import net
+from pipesgd import harness, net
 from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
 from pipesgd.engine.layout import SEG_RECV
 from pipesgd.errors import ConfigError, TransportError, VerificationError
@@ -23,7 +25,7 @@ from pipesgd.harness import (
     verify_against_reference,
 )
 from pipesgd.timeline import read_timeline_csv
-from pipesgd.transport import wire
+from pipesgd.transport import TcpTransport, wire
 
 
 def small_config(**overrides):
@@ -263,6 +265,79 @@ class TestTcpFailure:
         assert time.monotonic() - t0 < 1.0
 
 
+_KILL_AFTER_REPORTS = """
+import os, signal
+from pipesgd import harness
+from pipesgd.engine import TrainConfig
+
+child_failure = harness._child_failure
+
+def kill_once_all_reported(children, reports):
+    if len(reports) == len(children):
+        print(" ".join(str(child.pid) for child in children), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return child_failure(children, reports)
+
+harness._child_failure = kill_once_all_reported
+cfg = TrainConfig(layer_dims=(4, 6, 3), world_size=4, iterations=2, batch_size=8,
+                  dataset_size=16, seed=5)
+harness.run_tcp(cfg, harness.build_dataset(cfg))
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs; an exited process not yet reaped is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestTcpTeardown:
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_only_the_rendezvous_is_a_fence_outside_the_loop(self, monkeypatch, pattern):
+        """Finished children are held by the launcher, not by a teardown
+        barrier: rank 0 fences once before the loop and never after it."""
+        made = []
+
+        class Recorded(TcpTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "TcpTransport", Recorded)
+        cfg = small_config(world_size=4, iterations=2, pattern=pattern)
+        run_tcp(cfg, build_dataset(cfg))
+        in_loop = 0 if pattern == "pipelined" else 2 * cfg.iterations
+        assert [tr.barrier_calls for tr in made] == [1 + in_loop]
+
+    def test_children_exit_when_the_launcher_is_killed(self, tmp_path):
+        """A launcher killed after every child reported leaves no child
+        behind: its death closes the pipe that holds them."""
+        stderr_path = tmp_path / "stderr"
+        with open(stderr_path, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _KILL_AFTER_REPORTS],
+                stdout=subprocess.PIPE, stderr=stderr, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        # wait for the launcher, not for stdout's EOF: children share it
+        with proc:
+            code = proc.wait(timeout=60)
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        try:
+            assert code == -signal.SIGKILL, stderr_path.read_text()
+            assert len(pids) == 3
+            deadline = time.monotonic() + 2.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not [pid for pid in pids if _running(pid)], "children outlived the launcher"
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestRunBenchmark:
     def test_single_pattern_report(self, capsys):
         reports = run_benchmark(BenchOptions(config=small_config(), quiet=True))
@@ -343,6 +418,19 @@ class TestRunBenchmark:
         a = serialize_model(reports["pipelined"].results[0].model)
         b = serialize_model(reports["barrier"].results[0].model)
         assert a == b
+
+    def test_per_pattern_artifact_name_is_checked(self, monkeypatch, tmp_path):
+        """With both patterns the file written is ``t.barrier.csv``; that
+        name, not the one given, must not be a directory."""
+        monkeypatch.setitem(
+            harness.LAUNCHERS, "inproc", lambda *a, **kw: pytest.fail("training started")
+        )
+        (tmp_path / "t.barrier.csv").mkdir()
+        with pytest.raises(ConfigError, match=r"t\.barrier\.csv: it is a directory"):
+            run_benchmark(BenchOptions(
+                config=small_config(), patterns=("pipelined", "barrier"), quiet=True,
+                timeline_path=str(tmp_path / "t.csv"),
+            ))
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigError, match="transport"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pipesgd.errors import ConfigError, ProtocolError, RangeError, RoutingError, TransportError
-from pipesgd.transport import CONTROL_SEGMENT, InprocWorld, LatencyModel, WriteRequest
+from pipesgd.transport import CONTROL_SEGMENT, InprocWorld, LatencyModel, WriteRequest, base
 from pipesgd.transport.base import Notifications, Segment, Ticket
 
 
@@ -285,6 +285,29 @@ class TestBarrier:
         world.abort_barrier()
         t.join(timeout=2)
         assert errors
+        world.close()
+
+    def test_a_peer_that_never_arrives_breaks_the_fence(self, monkeypatch):
+        """A rank that stops without failing cannot hold its peers forever:
+        the fence gives up after the bound, as tcp's does."""
+        monkeypatch.setattr(base, "BARRIER_TIMEOUT_S", 0.2)
+        world, (a, _b) = make_world()
+        errors = []
+
+        def body():
+            try:
+                a.barrier()
+            except TransportError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=body, daemon=True)
+        t.start()
+        t.join(timeout=3)
+        if t.is_alive():
+            world.abort_barrier()  # without the bound it waits forever
+            t.join(timeout=2)
+            pytest.fail("barrier() still waiting 3 s after a 0.2 s bound")
+        assert errors and "a peer failed or timed out" in str(errors[0])
         world.close()
 
 

@@ -112,7 +112,11 @@ class TestMesh:
         for t in threads:
             t.join(timeout=30)
         assert sorted(left) == [0, 1], "a barrier did not return"
-        assert min(left.values()) - max(entered.values()) >= latency_ns
+        # a round promises that each rank leaves one flight after its
+        # partner entered, not after the later rank entered: that rank
+        # may find its partner's flight already over
+        for r in (0, 1):
+            assert left[r] - entered[1 - r] >= latency_ns
         close_all(transports)
 
     def test_barrier_synchronizes_three_ranks(self):
@@ -224,6 +228,18 @@ class TestFailure:
                 b.notify_poll(0, 1, 8)
                 time.sleep(0.001)
         b.close()
+
+    def test_closed_peer_fails_every_endpoint(self):
+        """A rank that closes is a failed peer: the others' writes, even to
+        ranks still up, raise and name it."""
+        transports = start_mesh(3)
+        transports[2].close()
+        deadline = time.monotonic() + 5
+        with pytest.raises(TransportError, match="rank 2 closed its connection"):
+            while time.monotonic() < deadline:
+                transports[0].write_notify(WriteRequest(0, 0, 1, 0, 0, 8, 1, 1))
+                time.sleep(0.001)
+        close_all(transports)
 
     def test_poll_surfaces_peer_failure_when_idle(self):
         a, b = start_mesh(2)
