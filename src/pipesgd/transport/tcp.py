@@ -153,6 +153,9 @@ class TcpTransport(TransportBase):
         except Exception as exc:
             if not self._closing:
                 self._mark_failed(exc)
+            # the failure's traceback keeps this frame; unbind the transport
+            # from it, or that cycle keeps every segment alive until a GC pass
+            del self
 
     # -- one-sided ops ------------------------------------------------------
     def write_notify(self, req: WriteRequest) -> Ticket:
@@ -172,8 +175,7 @@ class TcpTransport(TransportBase):
             raise TransportError(f"rank {self.rank}: send to rank {req.rank} failed: {exc}") from exc
         return ticket
 
-    # the base poll, bound here so that wrappers installed through each
-    # class's own __dict__ see tcp polls once
+    # the base poll, in this class's own __dict__ for wrappers that count per class
     notify_poll = TransportBase.notify_poll
 
     # -- collective ---------------------------------------------------------

@@ -1,8 +1,10 @@
 """TCP mesh transport: framing over real sockets, barriers, failure paths."""
 
+import gc
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +243,25 @@ class TestFailure:
                 time.sleep(0.001)
         close_all(transports)
 
+    def test_failed_transport_is_freed_without_a_gc_pass(self):
+        """A receive loop's failure must not tie its transport into a
+        reference cycle, which would keep every segment alive until the
+        garbage collector runs."""
+        a, b = start_mesh(2)
+        a.close()
+        deadline = time.monotonic() + 5
+        while b._failure is None:
+            assert time.monotonic() < deadline, "the close never failed the peer"
+            time.sleep(0.001)
+        b.close()
+        freed = weakref.ref(b)
+        gc.disable()
+        try:
+            del a, b
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_poll_surfaces_peer_failure_when_idle(self):
         a, b = start_mesh(2)
         b.close()
@@ -263,6 +284,8 @@ class TestFailure:
         b.close()
 
     def test_clean_close_is_not_a_failure(self):
+        """Closing raises nothing, also on an endpoint that its peer's
+        close may already have failed."""
         a, b = start_mesh(2)
         close_all([a, b])
         # closing twice stays quiet
