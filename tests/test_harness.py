@@ -324,7 +324,11 @@ class TestTcpTeardown:
             )
         # wait for the launcher, not for stdout's EOF: children share it
         with proc:
-            code = proc.wait(timeout=60)
+            try:
+                code = proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
             pids = [int(pid) for pid in proc.stdout.readline().split()]
         try:
             assert code == -signal.SIGKILL, stderr_path.read_text()
