@@ -9,34 +9,31 @@ same two segments, each an array of whole-model *slots* laid out as
 [slot][unit]:
 
   SEG_WORK   private working memory, one slot: the gradient.  The backward
-             pass writes each layer's gradient here, children's gradients
-             are folded into it, the master updates from it, and gradient
-             writes go on the wire from it without staging copies.  Remote
-             writes never land here.
-  SEG_RECV   receive slots.  A rank with C reduction children has 1 + C
-             slots: slot 0 holds the rank's live model, slot 1 + c the
-             gradient of child c.  Each slot has one writer, so the slot of
-             an arriving write says what it carries.  The broadcast parent
-             writes model units straight into slot 0, the master updates
-             its own slot 0 in place, and model writes to children go out
-             from it: a model unit is never copied on its way through a
-             rank.
+             pass writes each layer's gradient here, reduce-scatter data
+             is folded into it, the rank updates its shards from it, and
+             reduce-scatter writes go on the wire from it without staging
+             copies.  Remote writes never land here.
+  SEG_RECV   receive slots: ``1 + steps`` of them, ``steps`` the number of
+             hypercube steps (:mod:`..topology`).  Slot 0 holds the rank's
+             live model: all-gather writes land there, straight in the
+             weights the next forward pass reads, the rank updates its own
+             shards there in place, and its all-gather writes go out from
+             there.  Slot ``1 + j`` receives the data of reduce-scatter
+             step ``j``.  Every write lands at its range's own offset in
+             the slot, so a range has one place in every slot.
 
-A receive slot is a single buffer.  The tree's causal order keeps it safe
-to reuse: a child writes its gradient for iteration k+1 only after model
-k landed in its slot 0, which its parent sent only after folding the
-child's iteration-k gradient; a parent writes model k+1 only after the
-child's iteration-k+1 gradient went up, which the child sent only after
-its iteration-k writes completed and after its backward pass read the
-weights of that unit for the last time.  So every slot is read, and its
-notification reset, before the next write to it is issued, and slot 0 is
-never overwritten while it is still the source of a pending write.
+A receive slot is a single buffer; ``runtime`` gives the argument that no
+range of it is rewritten before it is read.
 
-Each transfer is one notify-write with one notification id.  Ids are
-dense: with U units, (slot, unit) carries 1 + slot*U + unit.  Id 0 is
-never assigned, every other id below :meth:`notif_count` is, and
-:meth:`decode` maps an id back to its (slot, unit), so one poll over the
-whole id range sees every receive.
+Each transfer is one notify-write with one notification id, named by
+*channel*, the writer's side of the exchange: over ``P`` virtual ranks,
+channel ``w`` is reduce-scatter data from virtual rank ``w`` and channel
+``P + w`` all-gather data from it.  Ids are dense: with U units,
+(channel, unit) carries ``1 + channel*U + unit``.  Id 0 is never assigned,
+every other id below :meth:`notif_count` is, and :meth:`decode` maps an id
+back to its (channel, unit), so one poll over the whole id range sees
+every receive.  A rank expects a write on only some channels; one on any
+other is a protocol violation.
 """
 
 from __future__ import annotations
@@ -68,15 +65,16 @@ class SegmentLayout:
     def size(self, slots: int) -> int:
         return slots * self.total_bytes
 
-    def offset(self, slot: int, unit: int) -> int:
-        return slot * self.total_bytes + self.unit_offsets[unit]
+    def offset(self, slot: int, unit: int, element: int = 0) -> int:
+        """Byte offset of one float of a unit in a slot."""
+        return slot * self.total_bytes + self.unit_offsets[unit] + element * _FLOAT_BYTES
 
-    def notif_id(self, slot: int, unit: int) -> int:
-        return 1 + slot * self.num_units + unit
+    def notif_id(self, channel: int, unit: int) -> int:
+        return 1 + channel * self.num_units + unit
 
-    def notif_count(self, slots: int) -> int:
-        return 1 + slots * self.num_units
+    def notif_count(self, channels: int) -> int:
+        return 1 + channels * self.num_units
 
     def decode(self, notification_id: int) -> tuple[int, int]:
-        """(receive slot, unit) of an assigned id."""
+        """(channel, unit) of an assigned id."""
         return divmod(notification_id - 1, self.num_units)

@@ -1,11 +1,30 @@
-"""Binomial rank trees for gradient reduction and model broadcast.
+"""The binomial tree that fixes the summation order, and the hypercube
+that realizes it.
 
-Both trees use the same construction: the parent of rank ``r`` is ``r``
-with its lowest set bit cleared (``r & (r - 1)``), and rank 0 is the root.
-Gradients flow from high ranks toward the root; the updated model flows
-back along the same edges.  Because the two edge sets coincide, every link
-carries traffic in both directions and a full-duplex network is kept busy
-both ways.
+The tree: the parent of rank ``r`` is ``r`` with its lowest set bit
+cleared (``r & (r - 1)``), and rank 0 is the root.  Folding each rank's
+children's subtree sums in ascending order (``sgd.tree_reduce``) is the
+reference order every distributed sum must reproduce bit for bit.
+
+The hypercube: the engine does not move data along the tree.  It runs a
+recursive-halving reduce-scatter over partner distances 1, 2, 4, ... and
+a recursive-doubling all-gather back over ..., 4, 2, 1, among ``P``
+*virtual ranks*, ``P`` the world size rounded up to a power of two.  At
+step ``j`` virtual rank ``v`` pairs with ``v ^ 2**j``; both hold the sums
+of two aligned blocks of ``2**j`` virtual ranks, the lower and the upper
+half of the block of ``2**(j+1)`` that contains them.  A binomial subtree
+is exactly such a block, and the tree adds the same two block sums when
+it folds a subtree's last child, so with IEEE addition commutative every
+element gets the reference expression.  A virtual rank ``v >= N`` has no
+gradient; a block holding none but such ranks contributes nothing, and
+its partner's sum passes through unchanged instead of being added to
+zeros (``-0.0 + 0.0`` is ``+0.0``).
+
+The owner rule: ``v >= N`` is played by the rank that holds its data when
+it first meets a present block.  That is at the first step ``j`` whose
+block of ``2**(j+1)`` starts below ``N``; its partner ``v - 2**j`` then
+holds the whole block's sum on the range both split, so its player takes
+``v`` on without a write (:meth:`Hypercube.players`).
 """
 
 from __future__ import annotations
@@ -108,3 +127,65 @@ def tree_check(tree: Tree) -> None:
         d = depth(tree)
         if d > limit:
             raise TreeError(f"depth {d} exceeds ceil(log2({s})) = {limit}")
+
+
+@dataclass(frozen=True)
+class Hypercube:
+    """Reduce-scatter and all-gather partners over ``world_size`` ranks.
+
+    ``players[v]`` is the rank that plays virtual rank ``v``; ranks below
+    the world size play themselves.
+    """
+
+    world_size: int
+    steps: int
+    players: tuple[int, ...]
+
+    def exchanges(self, rank: int, step: int) -> list[tuple[int, int]]:
+        """``(v, w)`` for every virtual rank ``v`` this rank plays that
+        trades data at ``step`` with its partner ``w``, played elsewhere.
+
+        Pairs where one block is absent trade nothing: the player of the
+        present one keeps both halves.
+        """
+        bit = 1 << step
+        out = []
+        for v, player in enumerate(self.players):
+            w = v ^ bit
+            present = _block_start(v, step) < self.world_size
+            if player == rank and present and _block_start(w, step) < self.world_size:
+                out.append((v, w))
+        return out
+
+
+def _block_start(vrank: int, step: int) -> int:
+    """First virtual rank of the aligned block of ``2**step`` holding ``vrank``."""
+    return vrank >> step << step
+
+
+def build_hypercube(world_size: int) -> Hypercube:
+    if world_size < 1:
+        raise TreeError(f"world size must be >= 1, got {world_size}")
+    steps = (world_size - 1).bit_length()
+    players = list(range(1 << steps))
+    for v in range(world_size, 1 << steps):
+        # the first step whose block of 2**(step+1) reaches a present rank
+        step = next(j for j in range(steps) if _block_start(v, j + 1) < world_size)
+        players[v] = players[v - (1 << step)]
+    return Hypercube(world_size, steps, tuple(players))
+
+
+def shard_range(size: int, vrank: int, steps: int) -> tuple[int, int]:
+    """``[lo, hi)`` of a ``size``-element unit that virtual rank ``vrank``
+    keeps after ``steps`` reduce-scatter steps: step ``j`` halves the range
+    and keeps the lower half when bit ``j`` of ``vrank`` is 0.  Every rank
+    computes every range the same way, so an empty one is skipped by its
+    sender and its receiver alike."""
+    lo, hi = 0, size
+    for j in range(steps):
+        mid = (lo + hi) // 2
+        if vrank >> j & 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

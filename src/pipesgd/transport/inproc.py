@@ -58,6 +58,9 @@ class InprocWorld:
     def close(self) -> None:
         for tr in list(self._transports.values()):
             tr.close()
+        # each transport points back at this world; drop the other half of
+        # that cycle, or every segment stays alive until a GC pass
+        self._transports.clear()
 
 
 class InprocTransport(TransportBase):

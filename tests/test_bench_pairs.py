@@ -83,3 +83,10 @@ class TestSummarize:
         lines = bench_pairs.format_rows(bench_pairs.summarize(base, [None] * 3, SPECS))
         assert len(lines) == 1 + len(SPECS)
         assert all("no data" in line for line in lines[1:])
+
+
+def test_environment_names_the_host():
+    env = bench_pairs.environment()
+    assert set(env) == {"nproc", "affinity", "load_average_start", "python", "numpy"}
+    assert env["nproc"] >= 1 and env["affinity"] and len(env["load_average_start"]) == 3
+    assert env["python"].count(".") == 2 and env["numpy"]

@@ -1,10 +1,12 @@
 """Benchmark harness: dataset plumbing, artifact paths, verification, reports."""
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from pipesgd.harness import (
     verify_against_reference,
 )
 from pipesgd.timeline import read_timeline_csv
-from pipesgd.transport import TcpTransport, wire
+from pipesgd.transport import InprocWorld, TcpTransport, wire
 
 
 def small_config(**overrides):
@@ -116,41 +118,36 @@ def die_at(monkeypatch, rank, iteration, how):
 
 
 def crash_after_gradient(monkeypatch, rank, iteration):
-    """Raise right after one rank's gradient write, before its model comes back."""
-    send_gradient = Rank._send_gradient
+    """Raise right after one rank's first reduce-scatter write, before any
+    all-gather data comes back."""
+    send = Rank._send
 
-    def crash(r, unit):
-        send_gradient(r, unit)
-        if r.rank == rank and r.k == iteration:
+    def crash(r, unit, kind, write):
+        send(r, unit, kind, write)
+        if r.rank == rank and r.k == iteration and kind == "send_trigger":
             raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(Rank, "_send_gradient", crash)
+    monkeypatch.setattr(Rank, "_send", crash)
 
 
 def die_mid_gradient_frame(monkeypatch, rank, iteration):
-    """End one tcp rank's process halfway through its gradient frame: the
-    header and the first 100 payload bytes reach its parent, then
-    ``os._exit(1)``."""
-    send_gradient = Rank._send_gradient
+    """End one tcp rank's process halfway through its first reduce-scatter
+    frame: the header and the first 100 payload bytes reach its partner,
+    then ``os._exit(1)``."""
+    send = Rank._send
 
-    def cut(r, unit):
-        if r.rank == rank and r.k == iteration:
-            lay = r.layout
-            size = lay.unit_bytes[unit]
-            assert size > 100, "the cut must fall inside the payload"
+    def cut(r, unit, kind, write):
+        if r.rank == rank and r.k == iteration and kind == "send_trigger":
+            assert write.size > 100, "the cut must fall inside the payload"
             header = wire.pack_write_notify(
-                SEG_RECV,
-                lay.offset(r.parent_slot, unit),
-                size,
-                lay.notif_id(r.parent_slot, unit),
-                r.k + 1,
+                SEG_RECV, write.remote_offset, write.size, write.nid, r.k + 1
             )
-            # the link to the parent is idle: last iteration's writes completed
-            r.tr._peers[r.parent].sendall(header + r.seg_work.read(lay.offset(0, unit), 100))
+            # the link to the partner is idle: last iteration's writes completed
+            r.tr._peers[write.dest].sendall(header + r.seg_work.read(write.offset, 100))
             os._exit(1)
-        send_gradient(r, unit)
+        send(r, unit, kind, write)
 
-    monkeypatch.setattr(Rank, "_send_gradient", cut)
+    monkeypatch.setattr(Rank, "_send", cut)
 
 
 crash_points = pytest.mark.parametrize("rank,iteration", [(0, 0), (0, 2), (3, 0), (3, 2)])
@@ -225,8 +222,8 @@ class TestTcpFailure:
 
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_crash_between_gradient_and_model_is_named(self, monkeypatch, pattern):
-        """Rank 3's gradient reached its parent, its model never comes back:
-        the parent's later failure is not blamed, rank 3 is."""
+        """Rank 3's gradient reached its partner, the gathered model never
+        comes back: the partner's later failure is not blamed, rank 3 is."""
         crash_after_gradient(monkeypatch, 3, 2)  # inherited by forked children
         cfg = small_config(world_size=4, iterations=4, pattern=pattern)
         t0 = time.monotonic()
@@ -238,7 +235,7 @@ class TestTcpFailure:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_death_mid_frame_is_named(self, monkeypatch, pattern):
         """A rank that dies inside its gradient frame is named by its exit
-        code, not blamed on the parent whose receive loop saw the cut."""
+        code, not blamed on the partner whose receive loop saw the cut."""
         die_mid_gradient_frame(monkeypatch, 3, 2)  # inherited by forked children
         cfg = small_config(world_size=4, iterations=4, pattern=pattern)
         t0 = time.monotonic()
@@ -340,6 +337,59 @@ class TestTcpTeardown:
         finally:
             for pid in filter(_running, pids):
                 os.kill(pid, signal.SIGKILL)
+
+
+class TestInprocTeardown:
+    def test_transports_are_freed_without_a_gc_pass(self, monkeypatch):
+        """A finished in-process world must not keep its transports in a
+        reference cycle, which would keep every segment of the launch
+        alive until the garbage collector runs."""
+        made = []
+        transport = InprocWorld.transport
+
+        def track(world, rank):
+            tr = transport(world, rank)
+            made.append(weakref.ref(tr))
+            return tr
+
+        monkeypatch.setattr(InprocWorld, "transport", track)
+        cfg = small_config(world_size=4)
+        ds = build_dataset(cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            run_inproc(cfg, ds)
+            assert [ref() for ref in made] == [None] * 4
+        finally:
+            gc.enable()
+
+
+class TestFlightSpans:
+    def test_flight_covers_the_tcp_send_call(self, monkeypatch):
+        """At zero latency a tcp write's ticket ends when it is posted, but
+        the call sends the whole frame: each recorded flight of rank 0 must
+        last at least as long as its 1.2 MB write call did."""
+        calls = []
+        write_notify = TcpTransport.write_notify
+
+        def timed(tr, req):
+            t0 = time.monotonic_ns()
+            ticket = write_notify(tr, req)
+            if req.remote_segment == SEG_RECV:  # not a fence's control write
+                calls.append(time.monotonic_ns() - t0)
+            return ticket
+
+        monkeypatch.setattr(TcpTransport, "write_notify", timed)
+        # 300 750 parameters: each half-model write of 2 ranks is 1.2 MB
+        cfg = small_config(layer_dims=(400, 750), iterations=2, batch_size=2, dataset_size=4)
+        results = run_tcp(cfg, build_dataset(cfg), record=True)
+        flights = [
+            e.t_end_ns - e.t_start_ns
+            for e in results[0].events
+            if e.kind in ("send_trigger", "model_forward")
+        ]
+        assert len(flights) == len(calls) > 0
+        assert all(flight >= call for flight, call in zip(flights, calls)), (flights, calls)
 
 
 class TestRunBenchmark:

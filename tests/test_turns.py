@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipesgd import net
-from pipesgd.engine import SEG_RECV, Rank, TrainConfig, master_update, runtime, sequential_sgd
+from pipesgd.engine import (
+    SEG_RECV, SEG_WORK, Rank, TrainConfig, master_update, runtime, sequential_sgd, tree_reduce,
+)
 from pipesgd.engine.runtime import plan_units
-from pipesgd.errors import ProtocolError, RangeError
+from pipesgd.errors import ProtocolError
+from pipesgd.topology import build_reduction_tree, shard_range
 from pipesgd.harness import run_inproc
 from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
 
@@ -27,10 +30,11 @@ def make_ranks():
     worlds = []
 
     def build(world_size, **overrides):
-        cfg = TrainConfig(
-            layer_dims=(4, 3), world_size=world_size, iterations=1,
-            batch_size=8, dataset_size=16, seed=7, finalize_timeout_s=5.0,
-        ).replace(**overrides)
+        cfg = TrainConfig(**{
+            "layer_dims": (4, 3), "world_size": world_size, "iterations": 1,
+            "batch_size": 8, "dataset_size": 16, "seed": 7, "finalize_timeout_s": 5.0,
+            **overrides,
+        })
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(world_size)
         worlds.append(world)
@@ -94,44 +98,64 @@ class TestSingleRank:
         )
 
 
-class TestLeafTurn:
-    def test_leaf_publishes_on_its_turn(self, make_ranks):
-        """With no children to wait for, a leaf's turn pushes the gradient up."""
+def settle(ranks):
+    """Run communication passes round-robin until every rank's iteration
+    is done, then end each one as the training loop does."""
+    while not all(r._iteration_done() for r in ranks):
+        for r in ranks:
+            r._comm_pass()
+    for r in ranks:
+        r.finalize_iteration()
+
+
+def received(rank, step, unit=0):
+    """Float view of one unit in a rank's reduce-scatter slot for ``step``."""
+    lay = rank.layout
+    return rank.seg_recv.view_f64(lay.offset(1 + step, unit), lay.param_counts[unit])
+
+
+class TestFirstTurn:
+    def test_turn_writes_the_partners_half(self, make_ranks):
+        """A rank's turn starts reduce-scatter step 0: the half its partner
+        keeps goes straight into the partner's step-0 slot."""
         _, _, (r0, r1) = make_ranks(2)
         r1.begin_iteration(0)
         g1 = grad(r1, 2.5)
         r1.run_turn(0, g1)
-        # the bytes are already in rank 0's child-0 receive slot, with the
+        # the bytes are already in rank 0's step-0 receive slot, with the
         # notification pending: one-sided, nothing on rank 0 ran yet
-        lay = r0.layout
-        assert r0._rx(1, 0).tolist() == g1.tolist()
-        nid = lay.notif_id(1, 0)
+        lo, hi = shard_range(g1.size, 0, 1)
+        assert received(r0, 0)[lo:hi].tolist() == g1[lo:hi].tolist()
+        nid = r0.layout.notif_id(1, 0)  # reduce-scatter channel of virtual rank 1
         assert r0.tr.notify_poll(SEG_RECV, nid, 1) == [(nid, 1)]
-        assert r1.state.gradient_forwarded[0]
+        # rank 1 started its first phase and waits for rank 0's half
+        assert (r1.state.started[0], r1.state.ended[0]) == (1, 0)
 
     def test_fold_waits_for_local_gradient(self, make_ranks):
-        """Child data buffered before this rank's own turn folds only after it.
+        """Partner data buffered before this rank's own turn folds only after it.
 
-        The master's update consumes the folded gradient in place, so the
-        sum shows through the updated weights."""
+        The shard update consumes the folded gradient in place, so the sum
+        shows through the updated weights of this rank's shard."""
         cfg, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         r1.begin_iteration(0)
         r1.run_turn(0, grad(r1, 1.0))
         r0._comm_pass()
-        assert r0.state.child_arrived[0] == {0}
+        assert r0.state.arrived[0] == {r0.layout.notif_id(1, 0)}
         assert r0.fold_counts[0] == 0
         w0 = r0.model_views[0].copy()
         g0 = grad(r0, 10.0)
         r0.run_turn(0, g0)
         assert r0.fold_counts[0] == 1
-        want = master_update(w0, np.full(g0.size, 11.0), cfg.epsilon)
-        assert r0.model_views[0].tobytes() == want.tobytes()
+        lo, hi = shard_range(g0.size, 0, 1)
+        want = master_update(w0[lo:hi], np.full(hi - lo, 11.0), cfg.epsilon)
+        assert r0.model_views[0][lo:hi].tobytes() == want.tobytes()
 
 
 class TestFoldOrder:
-    def test_late_first_child_preserves_ascending_fold(self, make_ranks):
-        """Slot 1 arriving before slot 0 must not change the float fold order.
+    def test_late_first_partner_preserves_fold_order(self, make_ranks):
+        """Step-1 data arriving before step-0 data must not change the
+        float fold order.
 
         The values are chosen so the two orders give different floats:
         (1e16 + 1.0) + -1e16 == 0.0 but (1e16 + -1e16) + 1.0 == 1.0.
@@ -140,32 +164,78 @@ class TestFoldOrder:
         r0, r1, r2, r3 = ranks
         for r in ranks:
             r.begin_iteration(0)
-        r3.run_turn(0, grad(r3, 0.0))         # leaf under rank 2
-        r2.run_turn(0, grad(r2, -1e16))       # folds rank 3, forwards -1e16
-        r0.run_turn(0, grad(r0, 1e16))        # sees slot 1 ready, slot 0 missing
-        assert r0.state.child_arrived[0] == {1}
+        r3.run_turn(0, grad(r3, 0.0))         # step-0 partner of rank 2
+        r2.run_turn(0, grad(r2, -1e16))       # folds rank 3, sends -1e16 at step 1
+        r0.run_turn(0, grad(r0, 1e16))        # step-1 data in, step-0 data missing
+        assert r0.state.arrived[0] == {r0.layout.notif_id(2, 0)}
         assert r0.fold_counts[0] == 0
         assert r0.grad_views[0].tolist() == [1e16] * r0.grad_views[0].size
 
-        r1.run_turn(0, grad(r1, 1.0))         # slot 0 lands last
-        r0.finalize_iteration()
+        r1.run_turn(0, grad(r1, 1.0))         # step 0 lands last
+        settle(ranks)
         assert r0.fold_counts[0] == 2
-        assert r0.grad_views[0].tolist() == [0.0] * r0.grad_views[0].size
-
-        for r in (r1, r2, r3):
-            r.finalize_iteration()
+        # rank 0's shard was folded in order; the update consumed it as eps * 0.0
+        lo, hi = shard_range(r0.grad_views[0].size, 0, 2)
+        assert r0.grad_views[0][lo:hi].tolist() == [0.0] * (hi - lo)
         for r in (r1, r2, r3):
             assert r.model_views[0].tobytes() == r0.model_views[0].tobytes()
 
-    def test_fold_counts_match_tree_shape(self, make_ranks):
-        _, _, ranks = make_ranks(4)
+    @pytest.mark.parametrize("world_size,folds", [
+        (3, [2, 2, 2]), (4, [2, 2, 2, 2]), (5, [3, 3, 3, 3, 4]),
+    ])
+    def test_fold_counts_match_hypercube_exchanges(self, make_ranks, world_size, folds):
+        """One fold per exchange: two steps over 3 or 4 ranks; over 5,
+        rank 4 plays virtual ranks 4..7 and folds once for each at step 2."""
+        _, _, ranks = make_ranks(world_size, batch_size=2 * world_size)
         for r in ranks:
             r.begin_iteration(0)
         for r in reversed(ranks):
             r.run_turn(0, grad(r, 1.0))
+        settle(ranks)
+        assert [r.fold_counts[0] for r in ranks] == folds
+
+
+class TestSignedZeros:
+    @pytest.mark.parametrize("world_size", range(1, 17))
+    def test_shards_hold_tree_reduce_sums(self, make_ranks, world_size):
+        """After one collective, each rank's shards hold epsilon times
+        tree_reduce's sum byte for byte, and every model the reference
+        update.  A third of the elements are -0.0 on every rank, whose sum
+        a +0.0 added for a virtual rank without a gradient would flip; a
+        third mix values whose sum depends on the fold order; a third
+        sum -0.0 and one +0.0 to +0.0."""
+        cfg, _, ranks = make_ranks(world_size, layer_dims=(8, 8), batch_size=world_size)
+        n = ranks[0].specs[0].param_count
+        third = n // 3
+        rnd = np.random.default_rng(world_size)
+        partials = []
+        for r in range(world_size):
+            g = np.full(n, -0.0)
+            g[third:2 * third] = rnd.choice([1e16, -1e16, 1.0, -0.0, 0.0], third)
+            if r == world_size - 1:
+                g[2 * third:] = 0.0
+            partials.append(g)
+        want = tree_reduce([[g] for g in partials], build_reduction_tree(world_size))[0]
+        assert np.signbit(want[:third]).all()
+        w0 = ranks[0].model_views[0].copy()
         for r in ranks:
-            r.finalize_iteration()
-        assert [r.fold_counts[0] for r in ranks] == [2, 0, 1, 0]
+            r.begin_iteration(0)
+        for r, g in zip(ranks, partials):
+            r.run_turn(0, g)
+        settle(ranks)
+        scaled = want * cfg.epsilon
+        model = master_update(w0, want, cfg.epsilon).tobytes()
+        for r in ranks:
+            for v in r.vranks:
+                lo, hi = shard_range(n, v, r.steps)
+                assert r.grad_views[0][lo:hi].tobytes() == scaled[lo:hi].tobytes(), (r.rank, v)
+            assert r.model_views[0].tobytes() == model
+
+
+def send_planned(rank, phase, unit=0):
+    """Send the first write of one of ``rank``'s planned phases."""
+    p = rank._phases[unit][phase]
+    rank._send(unit, p.kind, p.sends[0])
 
 
 class TestProtocolViolations:
@@ -175,8 +245,8 @@ class TestProtocolViolations:
         r1.begin_iteration(0)
         r1.run_turn(0, grad(r1, 1.0))
         r0.run_turn(0, grad(r0, 1.0))
-        r1._send_gradient(0)  # replay the same transfer
-        with pytest.raises(ProtocolError, match="duplicate gradient from child slot 0"):
+        send_planned(r1, 0)  # replay the same reduce-scatter write
+        with pytest.raises(ProtocolError, match="reduce-scatter write from virtual rank 1 for unit 0: a duplicate"):
             r0._comm_pass()
 
     def test_unexpected_value_raises(self, make_ranks):
@@ -208,66 +278,84 @@ class TestProtocolViolations:
         assert r0.tr.notify_poll(SEG_RECV, nid, 1) == [(nid, 2)]
 
     def test_model_before_own_contribution_raises(self, make_ranks):
+        """All-gather data can only exist after this rank's reduce-scatter
+        data for it went out."""
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         r1.begin_iteration(0)
-        r0._send_model(0)  # master jumps the gun
-        with pytest.raises(ProtocolError, match="before this rank's"):
+        send_planned(r0, -1)  # rank 0 jumps the gun with its all-gather write
+        with pytest.raises(ProtocolError, match="all-gather write .* arrived before this rank's own data"):
             r1._comm_pass()
 
-    def test_model_write_to_the_master_raises(self, make_ranks):
-        """The master has no broadcast parent, so anything in its slot 0
-        is a protocol violation, seen at its next pass."""
+    def test_all_gather_write_into_an_owned_range_raises(self, make_ranks):
+        """Rank 0 gathers every range but its own shard; all-gather data
+        naming its own virtual rank is a protocol violation, seen at its
+        next pass."""
         _, _, (r0, r1) = make_ranks(2)
         r0.begin_iteration(0)
         r1.begin_iteration(0)
         lay = r1.layout
+        lo, hi = shard_range(lay.param_counts[0], 0, 1)
         r1.tr.write_notify(WriteRequest(
-            local_segment=0, local_offset=0, rank=0, remote_segment=SEG_RECV,
-            remote_offset=lay.offset(0, 0), size=lay.unit_bytes[0],
-            notification_id=lay.notif_id(0, 0), notification_value=1,
+            local_segment=SEG_RECV, local_offset=8 * lo, rank=0, remote_segment=SEG_RECV,
+            remote_offset=8 * lo, size=8 * (hi - lo),
+            notification_id=lay.notif_id(2 + 0, 0), notification_value=1,
         ))
-        with pytest.raises(ProtocolError, match="model unit 0 arrived before"):
+        with pytest.raises(ProtocolError, match="all-gather write from virtual rank 0 for unit 0: a range this rank owns"):
             r0._comm_pass()
 
-    def test_gradient_write_to_a_leaf_raises(self, make_ranks):
-        """A leaf has only its model slot; a gradient aimed at it fails the
-        range check instead of landing in unused memory."""
-        _, _, (r0, r1) = make_ranks(2)
-        assert r1.seg_recv.size == r1.layout.size(1)
-        lay = r0.layout
-        with pytest.raises(RangeError):
-            r0.tr.write_notify(WriteRequest(
-                local_segment=0, local_offset=0, rank=1, remote_segment=SEG_RECV,
-                remote_offset=lay.offset(1, 0), size=lay.unit_bytes[0],
-                notification_id=lay.notif_id(1, 0), notification_value=1,
-            ))
+    def test_write_from_a_non_partner_raises(self, make_ranks):
+        """Over 4 ranks, rank 0 trades with ranks 1 and 2 only; a write on
+        rank 3's channel raises at rank 0's next pass."""
+        _, _, ranks = make_ranks(4)
+        r0, r3 = ranks[0], ranks[3]
+        r0.begin_iteration(0)
+        lay = r3.layout
+        r3.tr.write_notify(WriteRequest(
+            local_segment=SEG_WORK, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.offset(1, 0), size=8,
+            notification_id=lay.notif_id(3, 0), notification_value=1,
+        ))
+        with pytest.raises(ProtocolError, match="reduce-scatter write from virtual rank 3 for unit 0: not from a partner"):
+            r0._comm_pass()
+
+
+class TestWatchdog:
+    def test_a_stall_names_the_phase_and_the_silent_rank(self, make_ranks):
+        """Rank 1 never runs: rank 0's finalize gives up and says which
+        phase of which unit waits on which rank."""
+        _, _, (r0, _r1) = make_ranks(2, finalize_timeout_s=0.2)
+        r0.begin_iteration(0)
+        r0.run_turn(0, grad(r0, 1.0))
+        with pytest.raises(
+            ProtocolError, match=r"layers \[0, 1\) reduce-scatter step 0 \(ranks pending: \[1\]\)"
+        ):
+            r0.finalize_iteration()
 
 
 class TestReceiveSegment:
-    def test_slots_follow_the_tree(self, make_ranks):
-        """One model slot per rank plus one slot per reduction child: over
-        4 ranks, 3 on rank 0, 2 on rank 2, 1 on the leaves 1 and 3."""
-        _, _, ranks = make_ranks(4)
-        assert [r.seg_recv.size for r in ranks] == [
-            r.layout.size(slots) for r, slots in zip(ranks, [3, 1, 2, 1])
-        ]
-        assert [r.parent_slot for r in ranks] == [None, 1, 2, 1]
+    @pytest.mark.parametrize("world_size,steps", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_one_slot_per_hypercube_step(self, make_ranks, world_size, steps):
+        """The live model plus one reduce-scatter slot per hypercube step,
+        on every rank, whatever virtual ranks it plays."""
+        _, _, ranks = make_ranks(world_size, batch_size=2 * world_size)
+        assert [r.seg_recv.size for r in ranks] == [ranks[0].layout.size(1 + steps)] * world_size
 
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_one_buffer_per_slot_in_a_full_run(self, monkeypatch, pattern):
         """Over a whole 4-rank run, each rank's receive segment holds
-        exactly 1 + children whole models and 1 + slots * units
-        notification ids, whatever units the schedule planned."""
+        exactly 1 + 2 whole models (the live one, one per hypercube step)
+        and 1 + 2 * 4 * units notification ids (one reduce-scatter and one
+        all-gather channel per virtual rank), whatever units the schedule
+        planned."""
         seen = {}
         run = Rank.run
 
         def record(r):
-            slots = 1 + len(r.children)
             model_bytes = sum(s.param_count for s in r.specs) * 8
             seen[r.rank] = (
-                r.seg_recv.size == slots * model_bytes,
-                r.seg_recv.notifications.count == 1 + slots * len(r.units),
+                r.seg_recv.size == 3 * model_bytes,
+                r.seg_recv.notifications.count == 1 + 2 * 4 * len(r.units),
             )
             return run(r)
 
@@ -333,8 +421,9 @@ class TestCopyFree:
                 assert got.tobytes() == want.tobytes()
 
     def test_no_layer_sized_allocations(self, make_ranks):
-        """The backward pass into SEG_WORK, the master's update and a model
-        arrival on a relay allocate nothing on the scale of a layer."""
+        """The backward pass into SEG_WORK, a shard update and every
+        communication pass of a 4-rank collective - folds, sends and
+        all-gather arrivals - allocate nothing on the scale of a layer."""
         _, _, ranks = make_ranks(4, layer_dims=(256, 256, 2), batch_size=4)
         r0, r1, r2, r3 = ranks
         layer_bytes = 8 * r0.specs[0].param_count
@@ -358,29 +447,30 @@ class TestCopyFree:
             r3.run_turn(0, grad(r3, 1.0))
             r2.run_turn(0, grad(r2, 1.0))
             r1.run_turn(0, grad(r1, 1.0))
-            r0.run_turn(0, r0.grad_views[0])  # folds, updates, sends models down
-            arrival = peak_bytes(r2._comm_pass)
+            r0.run_turn(0, r0.grad_views[0])
+            passes = []
+            while not all(r._iteration_done() for r in ranks):
+                passes.extend(peak_bytes(r._comm_pass) for r in ranks)
         finally:
             tracemalloc.stop()
-        assert r2.state.model_arrived[0]
-        assert r3.tr.notify_poll(SEG_RECV, r3.layout.notif_id(0, 0), 1)  # relayed on
-        assert max(backward, update, arrival) < layer_bytes // 16, (backward, update, arrival)
+        assert all(r.fold_counts[0] == 2 for r in ranks)
+        assert max(backward, update, *passes) < layer_bytes // 16, (backward, update, passes)
 
 
 class TestCrossIteration:
     def test_fast_peer_running_ahead_is_safe(self, make_ranks):
         """Rank 1 finishes iteration 0 and publishes iteration 1 gradients
         while rank 0 is still on iteration 0; the early writes land in
-        slots rank 0 has already consumed and stay pending until it
+        ranges rank 0 has already folded and stay pending until it
         reaches iteration 1."""
         _, _, (r0, r1) = make_ranks(2, iterations=2)
 
         r1.begin_iteration(0)
         r1.run_turn(0, grad(r1, 1.0))
         r0.begin_iteration(0)
-        r0.run_turn(0, grad(r0, 2.0))    # folds, updates, broadcasts
-        r0.finalize_iteration()
+        r0.run_turn(0, grad(r0, 2.0))    # folds, updates its shard, gathers
         r1.finalize_iteration()
+        r0.finalize_iteration()
 
         # rank 1 races ahead into iteration 1
         r1.begin_iteration(1)
@@ -392,8 +482,8 @@ class TestCrossIteration:
         r0.begin_iteration(1)
         h0 = grad(r0, 7.0)
         r0.run_turn(0, h0)
-        r0.finalize_iteration()
         r1.finalize_iteration()
+        r0.finalize_iteration()
         assert r0.fold_counts[0] == 2    # one fold per iteration
         assert r0.model_views[0].tobytes() == r1.model_views[0].tobytes()
 
@@ -412,18 +502,18 @@ def writes_per_rank_per_iteration(monkeypatch, cfg, latency=None):
     return {r: c.writes / cfg.iterations for r, c in counters.items()}
 
 
-# binomial tree over 4 ranks: 1 -> 0, 2 -> 0, 3 -> 2; a rank writes its
-# gradient to its parent and the model to each of its children
-EDGES_OUT = {0: 2, 1: 1, 2: 2, 3: 1}
+# over 4 ranks every rank trades with a partner at each of 2 hypercube
+# steps, once in the reduce-scatter and once in the all-gather
+WRITES_PER_UNIT = {0: 4, 1: 4, 2: 4, 3: 4}
 
 
 class TestTraffic:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
-    def test_chunks_per_tree_edge(self, monkeypatch, pattern):
-        """Each tree edge carries one write per transfer unit per direction
-        per iteration: the planned units when pipelined (one whole-model
-        unit here, with no compute to hide a write), one whole-model unit
-        under the barrier schedule."""
+    def test_writes_per_hypercube_exchange(self, monkeypatch, pattern):
+        """Each hypercube exchange carries one write per transfer unit per
+        direction per collective half and iteration: the planned units when
+        pipelined (one whole-model unit here, with no compute to hide a
+        write), one whole-model unit under the barrier schedule."""
         cfg = TrainConfig(
             layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
             dataset_size=16, seed=9, pattern=pattern,
@@ -431,7 +521,7 @@ class TestTraffic:
         plan = plan_units(len(cfg.specs()), cfg.compute_inflation_ns, LatencyModel())
         per_edge = len(plan) if pattern == "pipelined" else 1
         per_iter = writes_per_rank_per_iteration(monkeypatch, cfg)
-        assert per_iter == {r: n * per_edge for r, n in EDGES_OUT.items()}
+        assert per_iter == {r: n * per_edge for r, n in WRITES_PER_UNIT.items()}
 
     def test_one_write_per_layer_when_compute_hides_it(self, monkeypatch):
         """With link latency and backward compute that outlasts one more
@@ -443,7 +533,7 @@ class TestTraffic:
         latency = LatencyModel(fixed_ns=100_000, per_byte_ns=1.0)
         per_iter = writes_per_rank_per_iteration(monkeypatch, cfg, latency)
         per_edge = len(cfg.specs())
-        assert per_iter == {r: n * per_edge for r, n in EDGES_OUT.items()}
+        assert per_iter == {r: n * per_edge for r, n in WRITES_PER_UNIT.items()}
 
 
 class TestProgressDuringCompute:

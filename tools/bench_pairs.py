@@ -20,14 +20,20 @@ Run from the repository root, for example::
 
     python3 tools/bench_pairs.py e668e6b HEAD --workload tcp-wide --pairs 10 --seconds 35
 
-``BENCHMARK.json`` is only read.  Standard library only.
+``--out`` writes every run's JSON object, the summary rows, both commit
+hashes and the host's environment (:func:`environment`) to one file; the
+committed ``BENCH_*.json`` files are such sets.  ``BENCHMARK.json`` is
+only read.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -114,6 +120,23 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
+def environment() -> dict:
+    """The host a set of runs starts on: its cores, the CPUs this process
+    may run on, the 1, 5 and 15 minute load averages, and the Python and
+    NumPy versions.  ``main`` adds the load averages at the end."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {
+        "nproc": os.cpu_count(),
+        "affinity": sorted(os.sched_getaffinity(0)),
+        "load_average_start": list(os.getloadavg()),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
 def export(revision: str, into: Path) -> str:
     """Extract ``revision`` into ``into``; returns its commit hash."""
     commit = subprocess.run(
@@ -164,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    report = {"workloads": {}}
+    report = {"environment": environment(), "workloads": {}}
+    print(f"environment: {json.dumps(report['environment'])}")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
         trees = {"base": Path(tmp, "base"), "head": Path(tmp, "head")}
         for side, rev in (("base", args.base), ("head", args.head)):
@@ -187,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                   f" runs with failures: base {failed['base']}, head {failed['head']}")
             print("\n".join(format_rows(rows)))
             report["workloads"][workload] = {"runs": runs, "summary": rows}
+    report["environment"]["load_average_end"] = list(os.getloadavg())
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1))
     return 0
