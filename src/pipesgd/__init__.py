@@ -1,9 +1,9 @@
 """Pipelined data-parallel SGD over a one-sided notify-write transport.
 
-Layer gradients flow up a binomial reduction tree while the backward pass
-is still running, the master applies updates and broadcasts each layer
-back down the same edges, and no barriers run anywhere in the training
-loop.  Results are bit-identical to the bundled single-process reference
+Layer gradients are reduce-scattered over a hypercube while the backward
+pass is still running, every rank updates the shards it owns and
+all-gathers the rest, and no barriers run anywhere in the training loop.
+Results are bit-identical to the bundled single-process reference
 optimizer regardless of world size, transport, or message timing.
 
 The top level carries what README's "Library use" example needs; every

@@ -2,11 +2,13 @@
 
 The distributed engine must produce bit-identical parameters to
 :func:`sequential_sgd`.  That works because both sides share the exact
-same floating point expressions: per-shard gradients are summed child by
-child in ascending rank order up the reduction tree (sequential_sgd
-replays that fold order in one process), and every layer is updated by
-:func:`apply_update` - in place on the master, on copies through
-:func:`master_update` in the reference.
+same floating point expressions.  The reference sums the per-rank batch
+gradients child by child in ascending rank order up the binomial tree
+(:func:`tree_reduce`); the engine's reduce-scatter adds the same pairs of
+subtree sums, each element on the rank that owns it (see
+:mod:`..topology`).  Every element is then updated by
+:func:`apply_update` - in place on the shard's owner in the engine, on
+copies through :func:`master_update` in the reference.
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@ Communication time on a rank is the union of its send flights and receive
 waits; compute time is forward/backward work plus local reductions and
 model updates.  The overlap ratio measures how much of the communication
 the engine managed to hide under compute.
+
+The engine's kinds: ``send_trigger`` is a reduce-scatter write's flight,
+``model_forward`` an all-gather write's, ``recv_notify`` one arrival,
+``reduce_local`` one fold, and ``master_update`` a rank's update of its
+shard of one layer.
 """
 
 from __future__ import annotations

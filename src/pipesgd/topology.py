@@ -20,11 +20,13 @@ gradient; a block holding none but such ranks contributes nothing, and
 its partner's sum passes through unchanged instead of being added to
 zeros (``-0.0 + 0.0`` is ``+0.0``).
 
-The owner rule: ``v >= N`` is played by the rank that holds its data when
-it first meets a present block.  That is at the first step ``j`` whose
-block of ``2**(j+1)`` starts below ``N``; its partner ``v - 2**j`` then
-holds the whole block's sum on the range both split, so its player takes
-``v`` on without a write (:meth:`Hypercube.players`).
+The owner rule: ``v >= N`` is played by the rank that already holds the
+data it would receive.  At the first step ``j`` whose block of
+``2**(j+1)`` around ``v`` starts below ``N``, ``v``'s own half is absent
+and its partner ``v - 2**j`` holds the sum of the whole block on the
+range both split, so the partner's player takes ``v`` on without a write
+(:func:`build_hypercube`).  The shards of absent virtual ranks thus spread
+over the present ranks of their block.
 """
 
 from __future__ import annotations

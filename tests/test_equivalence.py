@@ -144,3 +144,13 @@ class TestHypercube:
         )
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         assert_bit_identical(run_inproc(cfg, ds), sequential_sgd(cfg, ds))
+
+
+class TestLearning:
+    def test_loss_decreases_on_average(self):
+        cfg, ds = make_problem(4, iterations=30, epsilon=0.05)
+        results = run_inproc(cfg, ds)
+        losses = results[0].losses
+        first = float(np.mean(losses[:5]))
+        last = float(np.mean(losses[-5:]))
+        assert last < first

@@ -182,7 +182,7 @@ class TestFoldOrder:
 
     @pytest.mark.parametrize("world_size,folds", [
         (3, [2, 2, 2]), (4, [2, 2, 2, 2]), (5, [3, 3, 3, 3, 4]),
-    ])
+    ], ids=["3-ranks", "4-ranks", "5-ranks"])
     def test_fold_counts_match_hypercube_exchanges(self, make_ranks, world_size, folds):
         """One fold per exchange: two steps over 3 or 4 ranks; over 5,
         rank 4 plays virtual ranks 4..7 and folds once for each at step 2."""
@@ -334,7 +334,10 @@ class TestWatchdog:
 
 
 class TestReceiveSegment:
-    @pytest.mark.parametrize("world_size,steps", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    @pytest.mark.parametrize(
+        "world_size,steps", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)],
+        ids=["1-rank", "2-ranks", "3-ranks", "4-ranks", "5-ranks"],
+    )
     def test_one_slot_per_hypercube_step(self, make_ranks, world_size, steps):
         """The live model plus one reduce-scatter slot per hypercube step,
         on every rank, whatever virtual ranks it plays."""

@@ -1,7 +1,7 @@
 """The pipelined schedule's transfer-unit plan (``plan_units``).
 
-A unit boundary costs one more write per tree edge: the link's fixed
-latency plus the engine's per-unit work.  It pays off only when backward
+A unit boundary costs one more write per hypercube exchange: the link's
+fixed latency plus the engine's per-unit work.  It pays off only when backward
 compute can hide that write, so the plan is one fence-free whole-model
 unit without such compute and one unit per layer with it.
 """
