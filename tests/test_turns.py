@@ -373,7 +373,7 @@ class TestReceiveSegment:
         assert len(results[0].units) == (2 if pattern == "pipelined" else 1)
 
     def test_one_poll_per_pass(self):
-        """An interior rank sees model and child traffic through one poll."""
+        """A rank sees reduce-scatter and all-gather traffic through one poll."""
         cfg = TrainConfig(
             layer_dims=(4, 3), world_size=4, iterations=1,
             batch_size=8, dataset_size=16, seed=7,
@@ -394,7 +394,7 @@ class TestCopyFree:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_model_lives_in_receive_slot_zero(self, monkeypatch, pattern):
         """After a 4-rank run, every rank's weights are views of slot 0 of
-        its receive segment - where its parent's model writes land - and its
+        its receive segment - where its partners' all-gather writes land - and its
         gradients are views of its one-slot SEG_WORK, and the result still
         matches the reference bit for bit."""
         seen = {}
@@ -542,10 +542,10 @@ class TestTraffic:
 class TestProgressDuringCompute:
     def test_update_lands_inside_the_next_layers_compute(self):
         """The rank keeps communicating while a layer's backward compute
-        runs.  The child's top-layer gradient arrives about 5 ms after the
-        top layer's turn (more than the ranks' start skew), so the master
-        folds it and applies the update inside the next layer's 20 ms span,
-        not at that layer's turn."""
+        runs.  The partner's top-layer gradient arrives about 5 ms after the
+        top layer's turn (more than the ranks' start skew), so rank 0 folds
+        it and updates its shard inside the next layer's 20 ms span, not at
+        that layer's turn."""
         cfg = TrainConfig(
             layer_dims=(4, 6, 5, 3), world_size=2, iterations=2, batch_size=8,
             dataset_size=16, seed=11, compute_inflation_ns=20_000_000,
