@@ -20,10 +20,16 @@ MAX_ITERATIONS = 2**31 - 2
 _INT_FIELDS = (
     "world_size", "iterations", "batch_size", "seed", "compute_inflation_ns", "dataset_size"
 )
+_FLOAT_FIELDS = ("epsilon", "input_scale", "finalize_timeout_s")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -59,6 +65,9 @@ class TrainConfig:
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _FLOAT_FIELDS:
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.world_size < 1:
             raise ConfigError(f"world_size must be >= 1, got {self.world_size}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:

@@ -60,6 +60,16 @@ ahead.  Its writes still cannot clobber a receive range:
     the backward pass propagates a layer's input gradient through the
     old weights before it emits the layer.
 
+A rank never waits for its own writes.  ``write_notify`` promises local
+completion only: the payload has left its source range when the call
+returns, so the next update or backward pass may overwrite that range.
+A rank may thus start iteration k+1 while its iteration-k all-gather
+writes are still in flight.  A later write on the same link queues
+behind them on the per-link clock, so its notification becomes visible
+only after theirs, and no receive range is reused before its reader
+consumed it, for the causal reasons above: each of them runs through a
+notification the reader saw, never through the writer's wait.
+
 Notification values carry iteration+1, so an early k+2 is recognized and
 left pending until this rank reaches iteration k+1; k+3 cannot come,
 since a partner ends iteration k+1 only with this rank's k+1 data.  A
@@ -85,7 +95,7 @@ from ..buffers import buffer_add
 from ..errors import ConfigError, ProtocolError
 from ..timeline import TimelineEvent
 from ..topology import build_hypercube, shard_range
-from ..transport.base import LatencyModel, Ticket, TransportBase, WriteRequest
+from ..transport.base import LatencyModel, TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_RECV, SEG_WORK, SegmentLayout
 from .sgd import apply_update, batch_indices, shard_bounds
@@ -93,7 +103,7 @@ from .sgd import apply_update, batch_indices, shard_bounds
 _IDLE_SLEEP_S = 2e-5
 
 # Engine work one more transfer unit adds per iteration: its fold, notify
-# polls, master update call and write ticket.  Measured on rank 0 with
+# polls, master update call and write call.  Measured on rank 0 with
 # `bench/run.py --workload inproc-small --seed 7 --seconds 20 --trace 1`
 # on a 2-vCPU VM while the pipelined schedule still moved one unit per
 # layer and ranks polled only at turn boundaries, not during compute:
@@ -253,8 +263,6 @@ class Rank:
         self._poll_ids = lay.notif_count(channels) - 1
         self.losses: list[float] = []
         self.fold_counts = [0] * self.num_layers
-        # (kind, iteration, label, trigger time, return time, ticket) per outgoing write
-        self._flights: list[tuple[str, int, int, int, int, Ticket]] = []
         self.k = 0
 
     # Collective plan ---------------------------------------------------------
@@ -334,11 +342,13 @@ class Rank:
         iteration+1 so receivers can tell live data from leftovers (value
         0 means "never fired").
 
-        The flight is timed from here to whichever ends later: the call,
-        which over tcp sends the whole frame, or the write's ticket.
+        The flight is recorded at once, from here to whichever ends
+        later: the call, which over tcp sends the whole frame, or the
+        write's flight on its link.  Nothing waits for that flight: the
+        payload has left its source range when the call returns.
         """
         t0 = time.monotonic_ns()
-        ticket = self.tr.write_notify(
+        end = self.tr.write_notify(
             WriteRequest(
                 local_segment=write.segment,
                 local_offset=write.offset,
@@ -350,23 +360,7 @@ class Rank:
                 notification_value=self.k + 1,
             )
         )
-        self._flights.append((kind, self.k, self._labels[unit], t0, time.monotonic_ns(), ticket))
-
-    def _wait_tickets(self) -> None:
-        """Wait out this iteration's outgoing flights and record them.
-
-        Every write has already left its source buffer, but the iteration
-        ends only once its writes' modeled flights are over, so a rank
-        cannot run ahead of the latency its peers see.
-        """
-        self.tr.ticket_wait_all(
-            [flight[-1] for flight in self._flights], timeout=self.cfg.finalize_timeout_s
-        )
-        if self.events is not None:
-            for kind, k, layer, t0, returned, ticket in self._flights:
-                t1 = max(returned, ticket.completed_at_ns)
-                self.events.append(TimelineEvent(self.rank, k, layer, kind, t0, t1))
-        self._flights = []
+        self._record(kind, self._labels[unit], t0, max(time.monotonic_ns(), end))
 
     # Batch handling ---------------------------------------------------------
 
@@ -485,7 +479,6 @@ class Rank:
                 )
             else:
                 time.sleep(_IDLE_SLEEP_S)
-        self._wait_tickets()
         self._record("finalize", -1, t0, time.monotonic_ns())
 
     def _fence(self) -> None:

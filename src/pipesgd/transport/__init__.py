@@ -5,7 +5,6 @@ from .base import (
     LatencyModel,
     Notifications,
     Segment,
-    Ticket,
     TransportBase,
     WriteRequest,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "LatencyModel",
     "Notifications",
     "Segment",
-    "Ticket",
     "TransportBase",
     "WriteRequest",
     "pack_hello",

@@ -13,15 +13,18 @@ a notification becomes visible: every directed link keeps a clock, and a
 write posted at ``now`` ends its flight at ``max(now, end of the link's
 previous flight) + latency``, so writes on one link stay in trigger
 order.  :class:`Notifications` hides a fired notification until its
-flight is over, and the write's :class:`Ticket` is that time.  Writes are
-checked on the sending side first (:meth:`TransportBase._post`): a closed
-or failed transport, an unknown destination rank or a bad local range
-raises at once.
+flight is over.  ``write_notify`` returns that time, but promises only
+local completion, as ``gaspi_write_notify`` does: the source range may
+be reused at once, and the peer learns of the write from its
+notification, not from the writer.  Writes are checked on the sending
+side first (:meth:`TransportBase._post`): a closed or failed transport,
+an unknown destination rank or a bad local range raises at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -44,8 +47,10 @@ class LatencyModel:
     per_byte_ns: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.fixed_ns < math.inf and 0 <= self.per_byte_ns < math.inf):
-            raise ConfigError(f"latency must be finite and >= 0, got {self}")
+        for value in (self.fixed_ns, self.per_byte_ns):
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and 0 <= value < math.inf):
+                raise ConfigError(f"latency must be a finite number >= 0, got {self}")
 
     def flight_end(self, size_bytes: int, link_free_ns: int) -> int:
         """Monotonic time a write of ``size_bytes`` posted now ends its
@@ -70,30 +75,6 @@ class WriteRequest:
     size: int
     notification_id: int
     notification_value: int
-
-
-class Ticket:
-    """Completion handle for one write: the monotonic time, in ns, at which
-    its flight ends and its notification becomes visible to the peer."""
-
-    __slots__ = ("completed_at_ns",)
-
-    def __init__(self, completed_at_ns: int):
-        self.completed_at_ns = completed_at_ns
-
-    @property
-    def done(self) -> bool:
-        return time.monotonic_ns() >= self.completed_at_ns
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Sleep until the flight is over; raises at once if it ends
-        later than ``timeout`` from now."""
-        left = (self.completed_at_ns - time.monotonic_ns()) * 1e-9
-        if left <= 0:
-            return
-        if timeout is not None and left > timeout:
-            raise TransportError(f"write did not complete within {timeout} s")
-        time.sleep(left)
 
 
 class Notifications:
@@ -252,13 +233,10 @@ class TransportBase:
         return self.segment(segment_id).notifications.reset(notification_id)
 
     # -- writes -------------------------------------------------------------
-    def ticket_wait_all(self, tickets, timeout: float | None = None) -> None:
-        """Block until every ticket's flight is over; raises on timeout."""
-        Ticket(max((t.completed_at_ns for t in tickets), default=0)).wait(timeout)
-
-    def _post(self, req: WriteRequest) -> tuple[np.ndarray, Ticket]:
+    def _post(self, req: WriteRequest) -> tuple[np.ndarray, int]:
         """Checks the local side of a write and times its flight on the
-        link to ``req.rank``; returns its source bytes and its ticket.
+        link to ``req.rank``; returns its source bytes and the monotonic
+        time, in ns, at which its flight ends.
 
         A write on a closed or failed transport, or to a rank outside the
         world, raises here.
@@ -276,7 +254,7 @@ class TransportBase:
         src.check_range(req.local_offset, req.size)
         end = self.latency.flight_end(req.size, self._link_free_ns[req.rank])
         self._link_free_ns[req.rank] = end
-        return src.data[req.local_offset : req.local_offset + req.size], Ticket(end)
+        return src.data[req.local_offset : req.local_offset + req.size], end
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

@@ -11,7 +11,7 @@ import threading
 
 from ..errors import ConfigError, RoutingError, TransportError
 from . import base
-from .base import LatencyModel, Ticket, TransportBase, WriteRequest
+from .base import LatencyModel, TransportBase, WriteRequest
 
 
 class InprocWorld:
@@ -68,11 +68,12 @@ class InprocTransport(TransportBase):
         super().__init__(rank, world.world_size, world.latency)
         self._world = world
 
-    def write_notify(self, req: WriteRequest) -> Ticket:
-        """Land one write in the peer's segment before returning."""
-        payload, ticket = self._post(req)
-        self._world.deliver(req, payload, ticket.completed_at_ns)
-        return ticket
+    def write_notify(self, req: WriteRequest) -> int:
+        """Land one write in the peer's segment before returning; returns
+        the monotonic time, in ns, at which its flight ends."""
+        payload, end = self._post(req)
+        self._world.deliver(req, payload, end)
+        return end
 
     def barrier(self) -> None:
         self.barrier_calls += 1

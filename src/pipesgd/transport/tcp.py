@@ -29,7 +29,7 @@ import time
 
 from ..errors import ConfigError, ProtocolError, TransportError
 from . import base, wire
-from .base import CONTROL_SEGMENT, LatencyModel, Segment, Ticket, TransportBase, WriteRequest
+from .base import CONTROL_SEGMENT, LatencyModel, Segment, TransportBase, WriteRequest
 
 _CONNECT_TIMEOUT = 30.0
 _POLL_SLEEP = 2e-5
@@ -158,22 +158,23 @@ class TcpTransport(TransportBase):
             del self
 
     # -- one-sided ops ------------------------------------------------------
-    def write_notify(self, req: WriteRequest) -> Ticket:
+    def write_notify(self, req: WriteRequest) -> int:
         """Send one write as a frame from the caller's thread; a write to
-        this rank lands directly.  Only one thread per transport may
+        this rank lands directly.  Returns the monotonic time, in ns, at
+        which the write's flight ends.  Only one thread per transport may
         write: frames from two threads could interleave on a socket, and
         the peer's magic check would then raise ``FormatError``."""
-        payload, ticket = self._post(req)
+        payload, end = self._post(req)
         if req.rank == self.rank:
-            self.segment(req.remote_segment).land(req, payload, ticket.completed_at_ns)
-            return ticket
+            self.segment(req.remote_segment).land(req, payload, end)
+            return end
         try:
             _send_frame(self._peers[req.rank], req, payload)
         except OSError as exc:
             # a partly sent frame leaves the stream unusable
             self._mark_failed(exc)
             raise TransportError(f"rank {self.rank}: send to rank {req.rank} failed: {exc}") from exc
-        return ticket
+        return end
 
     # the base poll, in this class's own __dict__ for wrappers that count per class
     notify_poll = TransportBase.notify_poll

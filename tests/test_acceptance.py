@@ -154,12 +154,11 @@ def _run_write_stress(writer, receiver, seed):
         src.write(n, struct.pack("<I", zlib.crc32(body)))
         nid = (t % 8) + 1
         value = (t % 60_000) + 1
-        ticket = writer.write_notify(WriteRequest(
+        writer.write_notify(WriteRequest(
             local_segment=0, local_offset=0, rank=receiver.rank,
             remote_segment=0, remote_offset=0, size=n + 4,
             notification_id=nid, notification_value=value,
         ))
-        ticket.wait(30.0)
         deadline = time.monotonic() + 30.0
         while True:
             hits = receiver.notify_poll(0, nid, 1)

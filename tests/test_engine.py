@@ -68,6 +68,12 @@ class TestTrainConfig:
             {"layer_dims": (4, "3")},
             {"epsilon": float("inf")},
             {"finalize_timeout_s": float("inf")},
+            {"epsilon": True},
+            {"epsilon": "0.1"},
+            {"input_scale": False},
+            {"input_scale": "1.0"},
+            {"finalize_timeout_s": True},
+            {"finalize_timeout_s": None},
         ],
     )
     def test_rejects_bad_values(self, overrides):

@@ -27,7 +27,7 @@ from pipesgd.harness import (
     verify_against_reference,
 )
 from pipesgd.timeline import read_timeline_csv
-from pipesgd.transport import InprocWorld, TcpTransport, wire
+from pipesgd.transport import InprocWorld, LatencyModel, TcpTransport, wire
 
 
 def small_config(**overrides):
@@ -366,7 +366,7 @@ class TestInprocTeardown:
 
 class TestFlightSpans:
     def test_flight_covers_the_tcp_send_call(self, monkeypatch):
-        """At zero latency a tcp write's ticket ends when it is posted, but
+        """At zero latency a tcp write's flight ends when it is posted, but
         the call sends the whole frame: each recorded flight of rank 0 must
         last at least as long as its 1.2 MB write call did."""
         calls = []
@@ -374,10 +374,10 @@ class TestFlightSpans:
 
         def timed(tr, req):
             t0 = time.monotonic_ns()
-            ticket = write_notify(tr, req)
+            end = write_notify(tr, req)
             if req.remote_segment == SEG_RECV:  # not a fence's control write
                 calls.append(time.monotonic_ns() - t0)
-            return ticket
+            return end
 
         monkeypatch.setattr(TcpTransport, "write_notify", timed)
         # 300 750 parameters: each half-model write of 2 ranks is 1.2 MB
@@ -390,6 +390,24 @@ class TestFlightSpans:
         ]
         assert len(flights) == len(calls) > 0
         assert all(flight >= call for flight, call in zip(flights, calls)), (flights, calls)
+
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_an_iteration_does_not_wait_for_its_own_flights(self, pattern):
+        """Writes complete locally: a rank ends its iteration once its
+        peer's data arrived, even while its own all-gather write is still
+        in flight.  Three parameters over two ranks give rank 1 the larger
+        shard, so at 2 ms per byte its all-gather write ends 16 ms after
+        rank 0's, which rank 1 waits for."""
+        cfg = small_config(layer_dims=(2, 1), iterations=1, pattern=pattern)
+        ds = build_dataset(cfg)
+        results = run_inproc(
+            cfg, ds, latency=LatencyModel(per_byte_ns=2_000_000), record=True
+        )
+        events = results[1].events
+        (finalize,) = [e for e in events if e.kind == "finalize"]
+        (flight,) = [e for e in events if e.kind == "model_forward"]
+        assert finalize.t_end_ns < flight.t_end_ns
+        verify_against_reference(cfg, ds, results)
 
 
 class TestRunBenchmark:

@@ -8,7 +8,7 @@ import pytest
 
 from pipesgd.errors import ConfigError, ProtocolError, RangeError, RoutingError, TransportError
 from pipesgd.transport import CONTROL_SEGMENT, InprocWorld, LatencyModel, WriteRequest, base
-from pipesgd.transport.base import Notifications, Segment, Ticket
+from pipesgd.transport.base import Notifications, Segment
 
 
 def make_world(size=2, latency=None):
@@ -17,6 +17,15 @@ def make_world(size=2, latency=None):
     for tr in transports:
         tr.segment_create(0, 256, 16)
     return world, transports
+
+
+def poll_until(tr, first_id, count, hits=1, timeout=2.0):
+    """Poll segment 0 of ``tr`` until ``hits`` notifications are visible
+    or ``timeout`` seconds passed; returns the last poll."""
+    deadline = time.monotonic() + timeout
+    while len(seen := tr.notify_poll(0, first_id, count)) < hits and time.monotonic() < deadline:
+        time.sleep(1e-4)
+    return seen
 
 
 class TestSegment:
@@ -78,29 +87,13 @@ class TestNotifications:
         assert [nid for nid, _ in n.poll(0, 32)] == [3, 9, 17]
 
 
-class TestTicket:
-    def test_completed_ticket_is_done(self):
-        t = Ticket(time.monotonic_ns())
-        assert t.done
-        t.wait(0.01)
-
-    def test_wait_times_out(self):
-        """A flight that ends past the timeout raises without sleeping it out."""
-        t = Ticket(time.monotonic_ns() + 10_000_000_000)
-        assert not t.done
-        t0 = time.monotonic()
-        with pytest.raises(TransportError, match="did not complete"):
-            t.wait(0.01)
-        assert time.monotonic() - t0 < 1.0
-
-
 class TestInprocWrites:
     def test_write_delivers_bytes_and_notification(self):
         world, (a, b) = make_world()
         payload = np.arange(4, dtype=np.float64)
         a.segment(0).write(0, payload.tobytes())
-        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 64, 32, 5, 9))
-        ticket.wait(1.0)
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 64, 32, 5, 9))
+        assert end <= time.monotonic_ns()
         assert b.notify_poll(0, 5, 1) == [(5, 9)]
         assert bytes(b.segment(0).read(64, 32)) == payload.tobytes()
         world.close()
@@ -108,14 +101,14 @@ class TestInprocWrites:
     def test_self_write_allowed(self):
         world, (a, _b) = make_world()
         a.segment(0).write(0, b"\xaa" * 8)
-        a.write_notify(WriteRequest(0, 0, 0, 0, 128, 8, 3, 1)).wait(1.0)
+        assert a.write_notify(WriteRequest(0, 0, 0, 0, 128, 8, 3, 1)) <= time.monotonic_ns()
         assert bytes(a.segment(0).read(128, 8)) == b"\xaa" * 8
         world.close()
 
     def test_zero_latency_completes_inline(self):
         world, (a, _b) = make_world()
-        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
-        assert ticket.done, "zero-latency delivery happens in the caller's thread"
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
+        assert end <= time.monotonic_ns(), "zero-latency delivery happens in the caller's thread"
         world.close()
 
     def test_notification_value_zero_rejected(self):
@@ -139,8 +132,8 @@ class TestInprocWrites:
         world, (a, b) = make_world(latency=latency)
         with pytest.raises(RangeError, match="outside segment 0"):
             a.write_notify(WriteRequest(0, 0, 1, 0, 255, 16, 1, 1))
-        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1)).wait(1.0)
-        assert b.notify_poll(0, 1, 8) == [(2, 1)]
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1))
+        assert poll_until(b, 1, 8) == [(2, 1)]
         world.close()
 
     @pytest.mark.parametrize("latency", [None, LatencyModel(fixed_ns=1_000_000)])
@@ -148,7 +141,8 @@ class TestInprocWrites:
         """A closed world's transports refuse writes at once, at any
         latency, and what landed before stays consumable."""
         world, (a, b) = make_world(latency=latency)
-        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1)).wait(1.0)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
+        assert poll_until(b, 1, 8) == [(1, 1)]
         world.close()
         with pytest.raises(TransportError, match="closed"):
             a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 2, 1))
@@ -176,6 +170,10 @@ class TestLatency:
             {"per_byte_ns": float("nan")},
             {"per_byte_ns": float("inf")},
             {"fixed_ns": float("nan")},
+            {"fixed_ns": True},
+            {"per_byte_ns": True},
+            {"fixed_ns": "5"},
+            {"per_byte_ns": None},
         ],
     )
     def test_rejects_negative_or_non_finite(self, fields):
@@ -185,19 +183,18 @@ class TestLatency:
     def test_fixed_delay_is_applied(self):
         world, (a, b) = make_world(latency=LatencyModel(fixed_ns=20_000_000, per_byte_ns=0))
         t0 = time.monotonic_ns()
-        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
-        assert not ticket.done, "the write's flight lasts 20 ms"
-        ticket.wait(2.0)
-        assert ticket.completed_at_ns - t0 >= 20_000_000
-        assert b.notify_poll(0, 1, 1) == [(1, 1)]
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
+        assert end - t0 >= 20_000_000, "the write's flight lasts 20 ms"
+        assert poll_until(b, 1, 1) == [(1, 1)]
+        assert time.monotonic_ns() >= end
         world.close()
 
     def test_per_byte_delay_scales(self):
         lat = LatencyModel(fixed_ns=0, per_byte_ns=100_000)  # 0.1 ms per byte
         world, (a, _b) = make_world(latency=lat)
         t0 = time.monotonic_ns()
-        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 64, 1, 1)).wait(5.0)
-        assert time.monotonic_ns() - t0 >= 64 * 100_000
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 64, 1, 1))
+        assert end - t0 >= 64 * 100_000
         world.close()
 
     def test_links_delay_independently(self):
@@ -208,10 +205,10 @@ class TestLatency:
         for tr in transports:
             tr.segment_create(0, 64, 8)
         t0 = time.monotonic_ns()
-        t1 = transports[0].write_notify(WriteRequest(0, 0, 1, 0, 0, 16, 1, 1))
-        t2 = transports[0].write_notify(WriteRequest(0, 0, 2, 0, 0, 16, 1, 1))
-        transports[0].ticket_wait_all([t1, t2], timeout=2.0)
-        elapsed = time.monotonic_ns() - t0
+        ends = [
+            transports[0].write_notify(WriteRequest(0, 0, dst, 0, 0, 16, 1, 1)) for dst in (1, 2)
+        ]
+        elapsed = max(ends) - t0
         assert elapsed < 95_000_000, f"independent links took {elapsed} ns, expected ~50 ms"
         world.close()
 
@@ -221,14 +218,13 @@ class TestLatency:
         world, (a, b) = make_world(latency=LatencyModel(fixed_ns=40_000_000))
         a.segment(0).write(0, b"\x5a" * 16)
         t0 = time.monotonic_ns()
-        ticket = a.write_notify(WriteRequest(0, 0, 1, 0, 32, 16, 4, 7))
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 32, 16, 4, 7))
         assert bytes(b.segment(0).read(32, 16)) == b"\x5a" * 16
         assert b.notify_poll(0, 1, 15) == []
         assert b.notify_reset(0, 4) == 0
         assert time.monotonic_ns() - t0 < 40_000_000, "checks above ran after the flight"
-        assert ticket.completed_at_ns - t0 >= 40_000_000
-        ticket.wait(2.0)
-        assert b.notify_poll(0, 1, 15) == [(4, 7)]
+        assert end - t0 >= 40_000_000
+        assert poll_until(b, 1, 15) == [(4, 7)]
         assert b.notify_reset(0, 4) == 7
         world.close()
 
@@ -237,7 +233,7 @@ class TestLatency:
         world, transports = make_world(3, latency=LatencyModel(fixed_ns=1_000_000))
         for src in transports:
             for dst in range(3):
-                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1)).wait(1.0)
+                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1))
         assert [t.name for t in threading.enumerate() if t not in before] == []
         world.close()
 
@@ -246,8 +242,7 @@ class TestLatency:
         world, (a, b) = make_world(latency=lat)
         first = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 8, 1, 1))
         second = a.write_notify(WriteRequest(0, 8, 1, 0, 8, 8, 2, 1))
-        second.wait(2.0)
-        assert first.done, "FIFO link: earlier write completes before a later one"
+        assert second - first >= 5_000_000, "FIFO link: a later write queues behind an earlier one"
         world.close()
 
 
@@ -343,14 +338,14 @@ class TestConcurrency:
                 off = ((tr.rank - 1) * per_writer + i) * 8
                 nid = (tr.rank - 1) * per_writer + i + 1
                 tr.segment(0).write(off, bytes([tr.rank] * 8))
-                tr.write_notify(WriteRequest(0, off, 0, 0, off, 8, nid, tr.rank + 1)).wait(2.0)
+                tr.write_notify(WriteRequest(0, off, 0, 0, off, 8, nid, tr.rank + 1))
 
         threads = [threading.Thread(target=writer, args=(tr,)) for tr in transports[1:]]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        hits = transports[0].notify_poll(0, 1, 63)
+        hits = poll_until(transports[0], 1, 63, hits=3 * per_writer)
         assert len(hits) == 3 * per_writer
         for rank in (1, 2, 3):
             for i in range(per_writer):

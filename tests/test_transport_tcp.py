@@ -48,7 +48,8 @@ class TestMesh:
         a, b = start_mesh(2)
         payload = np.arange(16, dtype=np.float64).tobytes()
         a.segment(0).write(0, payload)
-        a.write_notify(WriteRequest(0, 0, 1, 0, 256, len(payload), 3, 9)).wait(5.0)
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 256, len(payload), 3, 9))
+        assert end <= time.monotonic_ns(), "at zero latency the flight ends when it is posted"
         deadline = time.monotonic() + 5
         while not b.notify_poll(0, 3, 1):
             assert time.monotonic() < deadline, "notification never arrived"
@@ -61,8 +62,7 @@ class TestMesh:
     def test_self_write_skips_sockets(self):
         (a,) = start_mesh(1)
         a.segment(0).write(0, b"\x11" * 8)
-        ticket = a.write_notify(WriteRequest(0, 0, 0, 0, 64, 8, 1, 1))
-        ticket.wait(1.0)
+        assert a.write_notify(WriteRequest(0, 0, 0, 0, 64, 8, 1, 1)) <= time.monotonic_ns()
         assert bytes(a.segment(0).read(64, 8)) == b"\x11" * 8
         close_all([a])
 
@@ -72,7 +72,7 @@ class TestMesh:
         rng = np.random.default_rng(0)
         payload = rng.integers(0, 256, size=3_000_000, dtype=np.uint8).tobytes()
         a.segment(0).write(0, payload)
-        a.write_notify(WriteRequest(0, 0, 1, 0, 0, len(payload), 5, 1)).wait(30.0)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 0, len(payload), 5, 1))
         deadline = time.monotonic() + 30
         while not b.notify_poll(0, 5, 1):
             assert time.monotonic() < deadline
@@ -83,7 +83,12 @@ class TestMesh:
     def test_latency_applies_per_message(self):
         a, b = start_mesh(2, latency=LatencyModel(fixed_ns=30_000_000, per_byte_ns=0))
         t0 = time.monotonic_ns()
-        a.write_notify(WriteRequest(0, 0, 1, 0, 0, 8, 1, 1)).wait(5.0)
+        end = a.write_notify(WriteRequest(0, 0, 1, 0, 0, 8, 1, 1))
+        assert end - t0 >= 30_000_000
+        deadline = time.monotonic() + 5
+        while not b.notify_poll(0, 1, 1):
+            assert time.monotonic() < deadline, "notification never arrived"
+            time.sleep(0.001)
         assert time.monotonic_ns() - t0 >= 30_000_000
         close_all([a, b])
 
@@ -93,7 +98,7 @@ class TestMesh:
         transports = start_mesh(3)
         for src in transports:
             for dst in range(3):
-                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1)).wait(5.0)
+                src.write_notify(WriteRequest(0, 0, dst, 0, 0, 8, 1 + src.rank, 1))
         names = sorted(t.name for t in threading.enumerate() if t not in before)
         assert names == [f"tcp-recv-{r}-{p}" for r in range(3) for p in range(3) if p != r]
         close_all(transports)
@@ -177,7 +182,7 @@ class TestFailure:
             # either the send itself fails or the failure flag trips; keep
             # pushing data until the broken pipe becomes visible
             for _ in range(200):
-                a.write_notify(WriteRequest(0, 0, 1, 0, 0, 1 << 20, 1, 1)).wait(5.0)
+                a.write_notify(WriteRequest(0, 0, 1, 0, 0, 1 << 20, 1, 1))
         a.close()
 
     def test_out_of_range_write_fails_the_receiver(self):
@@ -186,7 +191,7 @@ class TestFailure:
         transport and leaves its segment bytes untouched."""
         a, b = start_mesh(2, segment_size=4096)
         a.segment(0).write(0, b"\xab" * 256)
-        a.write_notify(WriteRequest(0, 0, 1, 0, 4000, 256, 1, 1)).wait(5.0)
+        a.write_notify(WriteRequest(0, 0, 1, 0, 4000, 256, 1, 1))
         deadline = time.monotonic() + 5
         with pytest.raises(TransportError, match="outside segment 0"):
             while time.monotonic() < deadline:
@@ -275,7 +280,7 @@ class TestFailure:
     @pytest.mark.parametrize("latency", [None, LatencyModel(fixed_ns=1_000_000)])
     def test_write_after_close_raises(self, latency):
         """A closed endpoint refuses writes at once, to peers and to itself,
-        instead of returning a ticket that never completes."""
+        instead of reporting a write that never left."""
         a, b = start_mesh(2, latency)
         a.close()
         for dest in (1, 0):

@@ -610,7 +610,6 @@ class ScriptedRank:
         elif self.turns:
             r.run_turn(*self.turns.pop(0))
         elif r._iteration_done():
-            r._wait_tickets()
             self.k += 1
             self.turns = None
         else:
