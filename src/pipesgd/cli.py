@@ -78,7 +78,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--compute-inflation-ns",
         type=int,
-        help="modeled backward compute per layer, during which the rank keeps communicating",
+        help="modeled backward compute per layer, during which the rank keeps communicating; "
+        "layers run back to back on a device clock from the start of the backward pass",
     )
     p.add_argument("--dataset-size", type=int, help="synthetic dataset rows (default 256)")
     p.add_argument("--dataset-csv", help="train from CSV rows x...,t... instead of synthetic data")

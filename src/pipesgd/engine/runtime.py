@@ -43,6 +43,16 @@ and passed on at once, not at the next turn, and a failed peer surfaces
 there too.  Under the barrier baseline nothing can arrive mid-backward,
 so those polls find nothing.
 
+That modeled compute runs on a *device clock*, as an accelerator stream
+runs beside the host thread that drives its one-sided writes.  The clock
+starts when the backward pass starts, after the forward, and each
+emitted layer advances it by ``compute_inflation_ns``, so the modeled
+layers run back to back: the host's turn for layer l and the real
+compute of layer l - 1 fall inside layer l - 1's window instead of
+adding to it.  A host that has fallen behind finds the clock already
+passed and does not poll; at zero inflation it never polls outside the
+turns.
+
 After the last turn the rank keeps polling until every unit's collective
 ended.  Under the pipelined schedule no barrier runs anywhere in or
 between iterations, so a fast partner may already be one iteration
@@ -105,11 +115,13 @@ _IDLE_SLEEP_S = 2e-5
 # Engine work one more transfer unit adds per iteration: its fold, notify
 # polls, master update call and write call.  Measured on rank 0 with
 # `bench/run.py --workload inproc-small --seed 7 --seconds 20 --trace 1`
-# on a 2-vCPU VM while the pipelined schedule still moved one unit per
-# layer and ranks polled only at turn boundaries, not during compute:
-# fold + update + post-backward tail took 1.48 ms per iteration over 4
-# units, 0.45 ms under the barrier baseline's single unit, so about
-# 0.34 ms for each of the 3 extra units.
+# on a 2-vCPU VM (no modeled compute, so every pass ran at a turn or
+# after the backward pass) while the pipelined schedule still moved one
+# unit per layer: fold + update + post-backward tail took 1.48 ms per
+# iteration over 4 units, 0.45 ms under the barrier baseline's single
+# unit, so about 0.34 ms for each of the 3 extra units.  Under modeled
+# compute that work runs inside the device clock's layer windows, where
+# it hides as long as a window outlasts it.
 _UNIT_COST_NS = 340_000
 
 
@@ -372,7 +384,10 @@ class Rank:
     def _inflate(self) -> None:
         """Model one layer's backward compute, communicating while it runs.
 
-        Until ``compute_inflation_ns`` has passed, the rank runs
+        The layer's compute ends ``compute_inflation_ns`` after the
+        previous layer's on the device clock (see the module docstring),
+        not that long after this call: the turn just taken and the real
+        backward compute since count toward it.  Until then the rank runs
         communication passes - folding, updating and sending whatever
         became possible - and idles only after a pass that consumed
         nothing, as a host thread drives one-sided writes while an
@@ -382,8 +397,8 @@ class Rank:
         went out, and folds follow the step order.  A failed peer raises
         here instead of at the next turn.
         """
-        deadline = time.monotonic_ns() + self.cfg.compute_inflation_ns
-        while (left_ns := deadline - time.monotonic_ns()) > 0:
+        self._device_ns += self.cfg.compute_inflation_ns
+        while (left_ns := self._device_ns - time.monotonic_ns()) > 0:
             if not self._comm_pass():
                 time.sleep(min(_IDLE_SLEEP_S, left_ns * 1e-9))
 
@@ -423,7 +438,7 @@ class Rank:
         _, cache = net.forward(self.specs, self.model_views, x)
         self._record("forward", -1, t0, time.monotonic_ns())
 
-        self._turn_clock = time.monotonic_ns()
+        self._turn_clock = self._device_ns = time.monotonic_ns()
 
         def emit(layer: int, gradient) -> None:
             self._inflate()

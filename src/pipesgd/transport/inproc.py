@@ -8,6 +8,7 @@ payload into the target rank's segment, then fires the notification
 from __future__ import annotations
 
 import threading
+import time
 
 from ..errors import ConfigError, RoutingError, TransportError
 from . import base
@@ -76,5 +77,10 @@ class InprocTransport(TransportBase):
         return end
 
     def barrier(self) -> None:
+        """Wait for every rank, then for the flights of tcp's dissemination
+        barrier: one link latency per round, ``(N - 1).bit_length()``
+        rounds.  At zero latency nothing is waited for after the release."""
         self.barrier_calls += 1
         self._world.wait_barrier()
+        if flights_ns := (self.world_size - 1).bit_length() * self.latency.fixed_ns:
+            time.sleep(flights_ns * 1e-9)

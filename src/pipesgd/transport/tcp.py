@@ -130,7 +130,8 @@ class TcpTransport(TransportBase):
         """Apply incoming frames: the payload is received straight into its
         destination range, which is checked before any byte is read.  Each
         notification becomes visible when the frame's flight, timed on
-        this loop's clock for the link from ``peer``, is over."""
+        this loop's clock for the link from ``peer`` from the moment its
+        header arrived, is over, and never before its payload landed."""
         header = bytearray(wire.HEADER_SIZE)
         visible_at = 0
         try:
@@ -146,9 +147,12 @@ class TcpTransport(TransportBase):
                 seg = self.segment(fh.dest_segment)
                 seg.check_range(fh.dest_offset, fh.payload_size)
                 dest = seg.data[fh.dest_offset : fh.dest_offset + fh.payload_size]
+                # the flight starts when the header arrives, about when the
+                # sender posted the frame and timed the same flight, not
+                # after the payload's transfer
+                visible_at = self.latency.flight_end(fh.payload_size, visible_at)
                 if not _recv_into(sock, dest):
                     raise TransportError("connection closed before payload")
-                visible_at = self.latency.flight_end(fh.payload_size, visible_at)
                 seg.notifications.fire(fh.notification_id, fh.notification_value, visible_at)
         except Exception as exc:
             if not self._closing:

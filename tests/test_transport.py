@@ -264,6 +264,42 @@ class TestBarrier:
         assert a.barrier_calls == 1 and b.barrier_calls == 1
         world.close()
 
+    def test_barrier_pays_the_link_latency(self):
+        """After the release a fence waits for the flights of tcp's
+        dissemination barrier, so the barrier baseline pays the same
+        modelled latency on both backends."""
+        latency_ns = 40_000_000
+        world, transports = make_world(latency=LatencyModel(fixed_ns=latency_ns))
+        entered, left = {}, {}
+
+        def body(tr):
+            entered[tr.rank] = time.monotonic_ns()
+            tr.barrier()
+            left[tr.rank] = time.monotonic_ns()
+
+        threads = [threading.Thread(target=body, args=(tr,)) for tr in transports]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert sorted(left) == [0, 1], "a barrier did not return"
+        for r in (0, 1):
+            assert left[r] - entered[1 - r] >= latency_ns
+        world.close()
+
+    def test_zero_latency_barrier_does_not_sleep(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        world, transports = make_world()
+        threads = [threading.Thread(target=tr.barrier) for tr in transports]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert [tr.barrier_calls for tr in transports] == [1, 1]
+        assert slept == []
+        world.close()
+
     def test_abort_unblocks_waiters(self):
         world, (a, _b) = make_world()
         errors = []

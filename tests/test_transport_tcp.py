@@ -92,6 +92,27 @@ class TestMesh:
         assert time.monotonic_ns() - t0 >= 30_000_000
         close_all([a, b])
 
+    def test_large_frame_is_visible_at_the_senders_flight_end(self):
+        """The receiver starts a frame's flight when its header arrives, not
+        after the payload: a 16 MB frame with a 32 ms flight becomes visible
+        at about the flight end the sender's call returned.  Timing the
+        flight from the payload's arrival made it lag by the frame's
+        transfer time, about 5 ms here."""
+        size = 16_000_000
+        a, b = start_mesh(2, latency=LatencyModel(per_byte_ns=2.0), segment_size=size)
+        lags = []
+        for value in range(1, 6):
+            end = a.write_notify(WriteRequest(0, 0, 1, 0, 0, size, 1, value))
+            deadline = time.monotonic() + 5
+            while not b.notify_poll(0, 1, 1):
+                assert time.monotonic() < deadline, "notification never arrived"
+                time.sleep(2e-5)
+            lags.append(time.monotonic_ns() - end)
+            assert b.notify_reset(0, 1) == value
+        assert min(lags) >= 0, "visible before its flight ended"
+        assert sorted(lags)[2] < 3_000_000, lags
+        close_all([a, b])
+
     def test_only_receive_loops_run(self):
         """Each rank runs one receive loop per peer and no other thread."""
         before = set(threading.enumerate())

@@ -6,6 +6,7 @@ publish a gradient here, poll there, and inspect the state in between.
 """
 
 import random
+import time
 import tracemalloc
 from unittest.mock import patch
 
@@ -570,6 +571,97 @@ class TestProgressDuringCompute:
             for kind in ("reduce_local", "master_update"):
                 nested = span(kind, 2, k)
                 assert compute.t_start_ns < nested.t_start_ns < compute.t_end_ns, (kind, k)
+
+
+def slow_sends(monkeypatch, delay_s):
+    """Make every ``Rank._send`` take ``delay_s`` longer."""
+    send = Rank._send
+
+    def slow(self, *args):
+        time.sleep(delay_s)
+        send(self, *args)
+
+    monkeypatch.setattr(Rank, "_send", slow)
+
+
+class TestDeviceClock:
+    """Modeled backward compute runs on a device clock that starts with the
+    backward pass and advances by ``compute_inflation_ns`` per emitted
+    layer, so the host's turns fall inside the modeled layers."""
+
+    def test_turns_hide_under_the_next_layers_compute(self, monkeypatch):
+        """Every send takes 3 ms, so each of the 5 turns before the last
+        emit costs at least that.  The backward pass still lasts the modeled
+        compute, 6 layers x 10 ms, plus at most the one send that ends the
+        last window and a slack; polling for a full window after each turn
+        would add the 5 turns instead."""
+        delay_s, inflation_ns = 0.003, 10_000_000
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 5, 5, 5, 5, 3), world_size=2, iterations=3, batch_size=8,
+            dataset_size=16, seed=11, compute_inflation_ns=inflation_ns,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        slow_sends(monkeypatch, delay_s)
+        results = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=1_000_000), record=True)
+        layers = len(cfg.specs())
+        assert results[0].units == [(l, l + 1) for l in range(layers)]
+        budget_ns = layers * inflation_ns + delay_s * 1e9 + 5_000_000
+        for r in results:
+            for k in range(cfg.iterations):
+                spans = [
+                    e for e in r.events if e.kind == "backward_layer" and e.iteration == k
+                ]
+                assert len(spans) == layers
+                backward_ns = max(e.t_end_ns for e in spans) - min(e.t_start_ns for e in spans)
+                assert backward_ns < budget_ns, (r.rank, k, backward_ns)
+        reference = sequential_sgd(cfg, ds)
+        for r in results:
+            for got, want in zip(r.model, reference.layers):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "inflation_ns, delay_s, polling_layers",
+        [(0, 0.0, 0), (2_000_000, 0.01, 1)],
+        ids=["zero-inflation", "host-behind"],
+    )
+    def test_no_pass_once_the_device_clock_has_passed(
+        self, monkeypatch, inflation_ns, delay_s, polling_layers
+    ):
+        """Communication passes run outside the turns only while the device
+        clock is ahead of the host.  At zero inflation it never is.  With
+        2 ms layers and 10 ms sends, the host is behind from the first turn
+        on, so only the top layer's compute polls."""
+        cfg = TrainConfig(
+            layer_dims=(4, 6, 5, 5, 3), world_size=2, iterations=2, batch_size=8,
+            dataset_size=16, seed=11, compute_inflation_ns=inflation_ns,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        slow_sends(monkeypatch, delay_s)
+        comm_pass, inflate = Rank._comm_pass, Rank._inflate
+        passes = {}  # rank -> passes run by each _inflate call, in call order
+
+        def counting_pass(self):
+            self.test_passes = getattr(self, "test_passes", 0) + 1
+            return comm_pass(self)
+
+        def counting_inflate(self):
+            before = getattr(self, "test_passes", 0)
+            inflate(self)
+            passes.setdefault(self.rank, []).append(getattr(self, "test_passes", 0) - before)
+
+        monkeypatch.setattr(Rank, "_comm_pass", counting_pass)
+        monkeypatch.setattr(Rank, "_inflate", counting_inflate)
+        results = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=100_000))
+        layers = len(cfg.specs())
+        if inflation_ns:
+            assert results[0].units == [(l, l + 1) for l in range(layers)]
+        for rank in (0, 1):
+            per_layer = passes[rank]
+            assert len(per_layer) == cfg.iterations * layers
+            for k in range(cfg.iterations):
+                calls = per_layer[k * layers : (k + 1) * layers]
+                assert all(calls[:polling_layers]), (rank, k, calls)
+                assert calls[polling_layers:] == [0] * (layers - polling_layers), (rank, k, calls)
 
 
 class ScriptedRank:
