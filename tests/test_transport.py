@@ -288,6 +288,7 @@ class TestBarrier:
         world.close()
 
     def test_zero_latency_barrier_does_not_sleep(self, monkeypatch):
+        """Without latency a fence waits for nothing after the release."""
         slept = []
         monkeypatch.setattr(time, "sleep", slept.append)
         world, transports = make_world()
@@ -296,7 +297,7 @@ class TestBarrier:
             t.start()
         for t in threads:
             t.join(timeout=30)
-        assert [tr.barrier_calls for tr in transports] == [1, 1]
+        assert not any(t.is_alive() for t in threads), "a barrier did not return"
         assert slept == []
         world.close()
 
