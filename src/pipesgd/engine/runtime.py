@@ -249,6 +249,10 @@ class Rank:
 
         self.cube = build_hypercube(config.world_size)
         self.steps = self.cube.steps
+        # a link that charges per message ends each unit with a one-hop
+        # all-gather, a free link with recursive doubling (module docstring)
+        latency = transport.latency
+        self._one_hop = latency.fixed_ns > 0 or latency.per_byte_ns > 0
         self.vranks = [v for v, p in enumerate(self.cube.players) if p == self.rank]
         channels = 2 * len(self.cube.players)
         self.seg_work = transport.segment_create(SEG_WORK, lay.size(1), 1)
@@ -281,13 +285,15 @@ class Rank:
 
     def _plan(self, unit: int) -> list[_Phase]:
         """This rank's phases for one unit: reduce-scatter steps 0..d-1,
-        the update, all-gather steps d-1..0.  Empty ranges are neither
+        the update, then the all-gather: steps d-1..0 over free links, one
+        hop over links that charge per message.  Empty ranges are neither
         sent nor waited for."""
         lay, cube = self.layout, self.cube
         n = lay.param_counts[unit]
         grad = self.seg_work.view_f64(lay.offset(0, unit), n)
         gather_channels = len(cube.players)
         scatter, gather = [], []
+        gave = []  # (range, step) of every range this rank's reduce-scatter sent
         for j in range(self.steps):
             rx = self.seg_recv.view_f64(lay.offset(1 + j, unit), n)
             rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [])
@@ -305,13 +311,45 @@ class Rank:
                     ag.sends.append(self._write(peer, SEG_RECV, 0, unit, keep, gather_channels + v))
                 if give[1] > give[0]:
                     rs.sends.append(self._write(peer, SEG_WORK, 1 + j, unit, give, v))
-                    nid = lay.notif_id(gather_channels + w, unit)
-                    ag.waits.append(_Wait(nid, peer, None))
-                    # w gathers its half only after this rank's step-j data
-                    self._expected[nid] = (unit, j + 1)
+                    gave.append((give, j))
+                    ag.waits.append(_Wait(lay.notif_id(gather_channels + w, unit), peer, None))
             scatter.append(rs)
             gather.append(ag)
+        if self._one_hop:
+            gather = [self._one_hop_gather(unit, gave)]
+        else:
+            for j, ag in enumerate(gather):
+                for wait in ag.waits:
+                    # w gathers its half only after this rank's step-j data
+                    self._expected[wait.nid] = (unit, j + 1)
         return scatter + [_Phase("update", "master_update", [], [])] + gather[::-1]
+
+    def _one_hop_gather(self, unit: int, gave: list[tuple[tuple[int, int], int]]) -> _Phase:
+        """The all-gather in one hop: the player of each non-empty shard
+        writes it from slot 0 into the same range of every other rank's
+        slot 0, on the shard's all-gather channel.  A shard comes only
+        after this rank started the reduce-scatter step whose send carried
+        its contribution to it, the one sent range that holds the shard."""
+        lay, cube, world = self.layout, self.cube, self.cfg.world_size
+        n = lay.param_counts[unit]
+        phase = _Phase("all-gather", "model_forward", [], [])
+        for x, player in enumerate(cube.players):
+            lo, hi = shard = shard_range(n, x, self.steps)
+            if lo == hi:
+                continue
+            channel = len(cube.players) + x
+            if player == self.rank:
+                # peers in turn from the next rank on, so no rank is every
+                # owner's first destination
+                for i in range(1, world):
+                    dest = (self.rank + i) % world
+                    phase.sends.append(self._write(dest, SEG_RECV, 0, unit, shard, channel))
+            else:
+                (step,) = [j for (a, b), j in gave if a <= lo and hi <= b]
+                nid = lay.notif_id(channel, unit)
+                phase.waits.append(_Wait(nid, player, None))
+                self._expected[nid] = (unit, step + 1)
+        return phase
 
     def _write(
         self, dest: int, segment: int, slot: int, unit: int, span: tuple[int, int], channel: int
