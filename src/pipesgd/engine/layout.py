@@ -18,9 +18,13 @@ same two segments, each an array of whole-model *slots* laid out as
              live model: all-gather writes land there, straight in the
              weights the next forward pass reads, the rank updates its own
              shards there in place, and its all-gather writes go out from
-             there.  Slot ``1 + j`` receives the data of reduce-scatter
-             step ``j``.  Every write lands at its range's own offset in
-             the slot, so a range has one place in every slot.
+             there.  Under the recursive-doubling all-gather slot 0
+             receives one range from each hypercube partner; under the
+             one-hop all-gather (links that charge per message) it
+             receives each shard from its player.  Slot ``1 + j``
+             receives the data of reduce-scatter step ``j``.  Every write
+             lands at its range's own offset in the slot, so a range has
+             one place in every slot.
 
 A receive slot is a single buffer; ``runtime`` gives the argument that no
 range of it is rewritten before it is read.
@@ -28,7 +32,7 @@ range of it is rewritten before it is read.
 Each transfer is one notify-write with one notification id, named by
 *channel*, the writer's side of the exchange: over ``P`` virtual ranks,
 channel ``w`` is reduce-scatter data from virtual rank ``w`` and channel
-``P + w`` all-gather data from it.  Ids are dense: with U units,
+``P + w`` all-gather data from it (in one hop: shard ``w`` itself).  Ids are dense: with U units,
 (channel, unit) carries ``1 + channel*U + unit``.  Id 0 is never assigned,
 every other id below :meth:`notif_count` is, and :meth:`decode` maps an id
 back to its (channel, unit), so one poll over the whole id range sees

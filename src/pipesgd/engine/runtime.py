@@ -8,7 +8,8 @@ notify-writes, and sees every arrival through one notification poll per
 communication pass.  Nothing is copied or allocated per iteration: the
 backward pass writes gradients into their segment views, folds and the
 shard updates run in place, and all-gather data lands in the weights the
-next forward pass reads and leaves for the next partner from there.
+next forward pass reads and, under recursive doubling, leaves for the
+next partner from there.
 Model and gradient move in *transfer units*: contiguous ``[first,
 stop)`` layer ranges.  The barrier baseline moves one
 whole-model unit.  The pipelined schedule plans its units from the
@@ -25,11 +26,24 @@ Each unit runs one collective, in phases:
     folds w's copy of the half v keeps into its gradient once it landed;
   * the update: each virtual rank's final range, its *shard*, is updated
     in place in slot 0 (:func:`.sgd.apply_update` is elementwise);
-  * all-gather step j = ..., 1, 0: the rank writes the range v held after
-    reduce-scatter step j from slot 0 into the same range of w's player's
-    slot 0, and waits until w's range landed in its own.
+  * the all-gather, in one of two shapes.  On free links it is
+    recursive doubling, steps j = ..., 1, 0: the rank writes the range v
+    held after reduce-scatter step j from slot 0 into the same range of
+    w's player's slot 0, and waits until w's range landed in its own.  On
+    links that charge per message it takes one hop: the rank writes each
+    non-empty shard it plays from slot 0 into the same range of every
+    other rank's slot 0, and waits until every shard it does not play
+    landed in its own.
 
-Every element is then summed in the reference order of
+The shape is picked once, from the transport's latency model, which all
+ranks share: one hop when ``fixed_ns`` or ``per_byte_ns`` is above zero.
+Over 4 ranks one hop costs each rank 5 writes per unit instead of 4, for
+the same bytes, but its 3 all-gather writes run on 3 links side by side:
+the unit's critical path shrinks from 4 hops and 1.5 model sizes to 3
+hops and 1.0.  A message that pays a latency makes the saved hop worth
+more than the added write; on a free link the write costs more.
+
+Either way every element is summed in the reference order of
 :func:`.sgd.tree_reduce` and updated by the reference rule, so all ranks
 end bit-identical to :func:`.sgd.sequential_sgd`.  A rank starts a phase
 only after it ended the previous one, so the sends of reduce-scatter
@@ -60,15 +74,22 @@ ahead.  Its writes still cannot clobber a receive range:
 
   * at reduce-scatter step j, partner p writes its iteration-k+1 data
     into this rank's slot 1 + j only after p finished iteration k.  That
-    needed this rank's iteration-k all-gather data for the same range,
-    which this rank sends only after folding p's iteration-k step-j
-    data, and the range is empty on both sides or on neither;
+    needed the iteration-k all-gather data of the same range, whose
+    every shard was updated from a sum that passed through this rank's
+    fold of p's iteration-k step-j data: this rank sends it back only
+    after that fold under recursive doubling, and under one hop the
+    shards' players can update them only after it.  The range is empty
+    on both sides or on neither;
   * all-gather data for unit u of iteration k+1 exists only after every
     rank published u's k+1 gradient, since every element's sum holds
     every rank's contribution.  So it never lands while this rank is
     still in iteration k or a backward pass still reads the old weights:
     the backward pass propagates a layer's input gradient through the
-    old weights before it emits the layer.
+    old weights before it emits the layer;
+  * slot 0 is read for sending only where no write lands in the same
+    iteration: a one-hop write carries only the sender's own shards,
+    which no other rank writes, and a recursive-doubling write carries
+    a range whose writes of the iteration all landed before it is sent.
 
 A rank never waits for its own writes.  ``write_notify`` promises local
 completion only: the payload has left its source range when the call
@@ -85,7 +106,8 @@ left pending until this rank reaches iteration k+1; k+3 cannot come,
 since a partner ends iteration k+1 only with this rank's k+1 data.  A
 write on a channel this rank does not expect, a second write on one, or
 all-gather data before this rank's own reduce-scatter data for it went
-out raises at the next pass.  The barrier baseline adds exactly two
+out raises at the next pass; for a one-hop shard that is the
+reduce-scatter step whose send carried this rank's share of it.  The barrier baseline adds exactly two
 fences per iteration: one before its whole-model unit is published and
 one after the iteration's traffic is done.  Those two barrier calls are
 the synchronization the pipelined schedule exists to avoid.
