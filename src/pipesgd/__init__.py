@@ -1,11 +1,9 @@
 """Pipelined data-parallel SGD over a one-sided notify-write transport.
 
 Layer gradients are reduce-scattered over a hypercube while the backward
-pass is still running, every rank updates the shards it owns and
-all-gathers the rest, and no barriers run anywhere in the training loop.
-The all-gather retraces the hypercube on free links and takes one hop,
-each shard's owner writing it to every peer, on links that charge per
-message.
+pass is still running, every rank updates the shards it owns and writes
+them straight to every peer, and no barriers run anywhere in the training
+loop.
 Results are bit-identical to the bundled single-process reference
 optimizer regardless of world size, transport, or message timing.
 

@@ -15,13 +15,10 @@ same two segments, each an array of whole-model *slots* laid out as
              copies.  Remote writes never land here.
   SEG_RECV   receive slots: ``1 + steps`` of them, ``steps`` the number of
              hypercube steps (:mod:`..topology`).  Slot 0 holds the rank's
-             live model: all-gather writes land there, straight in the
-             weights the next forward pass reads, the rank updates its own
-             shards there in place, and its all-gather writes go out from
-             there.  Under the recursive-doubling all-gather slot 0
-             receives one range from each hypercube partner; under the
-             one-hop all-gather (links that charge per message) it
-             receives each shard from its player.  Slot ``1 + j``
+             live model: each shard's all-gather write lands there from
+             its player, straight in the weights the next forward pass
+             reads, the rank updates its own shards there in place, and
+             its all-gather writes go out from there.  Slot ``1 + j``
              receives the data of reduce-scatter step ``j``.  Every write
              lands at its range's own offset in the slot, so a range has
              one place in every slot.
@@ -32,12 +29,12 @@ range of it is rewritten before it is read.
 Each transfer is one notify-write with one notification id, named by
 *channel*, the writer's side of the exchange: over ``P`` virtual ranks,
 channel ``w`` is reduce-scatter data from virtual rank ``w`` and channel
-``P + w`` all-gather data from it (in one hop: shard ``w`` itself).  Ids are dense: with U units,
-(channel, unit) carries ``1 + channel*U + unit``.  Id 0 is never assigned,
-every other id below :meth:`notif_count` is, and :meth:`decode` maps an id
-back to its (channel, unit), so one poll over the whole id range sees
-every receive.  A rank expects a write on only some channels; one on any
-other is a protocol violation.
+``P + w`` all-gather data from it: shard ``w`` itself.  Ids are dense:
+with U units, (channel, unit) carries ``1 + channel*U + unit``.  Id 0 is
+never assigned, every other id below :meth:`notif_count` is, and
+:meth:`decode` maps an id back to its (channel, unit), so one poll over
+the whole id range sees every receive.  A rank expects a write on only
+some channels; one on any other is a protocol violation.
 """
 
 from __future__ import annotations

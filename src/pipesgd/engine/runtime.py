@@ -7,9 +7,8 @@ talks to its hypercube partners (:mod:`..topology`) through one-sided
 notify-writes, and sees every arrival through one notification poll per
 communication pass.  Nothing is copied or allocated per iteration: the
 backward pass writes gradients into their segment views, folds and the
-shard updates run in place, and all-gather data lands in the weights the
-next forward pass reads and, under recursive doubling, leaves for the
-next partner from there.
+shard updates run in place, and all-gather data leaves from the weights
+the rank updated and lands in the weights the next forward pass reads.
 Model and gradient move in *transfer units*: contiguous ``[first,
 stop)`` layer ranges.  The barrier baseline moves one
 whole-model unit.  The pipelined schedule plans its units from the
@@ -26,24 +25,17 @@ Each unit runs one collective, in phases:
     folds w's copy of the half v keeps into its gradient once it landed;
   * the update: each virtual rank's final range, its *shard*, is updated
     in place in slot 0 (:func:`.sgd.apply_update` is elementwise);
-  * the all-gather, in one of two shapes.  On free links it is
-    recursive doubling, steps j = ..., 1, 0: the rank writes the range v
-    held after reduce-scatter step j from slot 0 into the same range of
-    w's player's slot 0, and waits until w's range landed in its own.  On
-    links that charge per message it takes one hop: the rank writes each
-    non-empty shard it plays from slot 0 into the same range of every
-    other rank's slot 0, and waits until every shard it does not play
-    landed in its own.
+  * the all-gather, in one hop: the rank writes each non-empty shard it
+    plays from slot 0 into the same range of every other rank's slot 0,
+    and waits until every shard it does not play landed in its own.
 
-The shape is picked once, from the transport's latency model, which all
-ranks share: one hop when ``fixed_ns`` or ``per_byte_ns`` is above zero.
-Over 4 ranks one hop costs each rank 5 writes per unit instead of 4, for
-the same bytes, but its 3 all-gather writes run on 3 links side by side:
-the unit's critical path shrinks from 4 hops and 1.5 model sizes to 3
-hops and 1.0.  A message that pays a latency makes the saved hop worth
-more than the added write; on a free link the write costs more.
+Over 4 ranks a unit costs each rank 5 writes: 2 in the reduce-scatter
+and 3 in the all-gather, which run on 3 links side by side.  Its critical
+path is 3 hops and 1.0 model sizes, where a recursive-doubling all-gather
+that retraces the hypercube would cost 4 writes but chain 4 hops and 1.5
+model sizes.
 
-Either way every element is summed in the reference order of
+Every element is summed in the reference order of
 :func:`.sgd.tree_reduce` and updated by the reference rule, so all ranks
 end bit-identical to :func:`.sgd.sequential_sgd`.  A rank starts a phase
 only after it ended the previous one, so the sends of reduce-scatter
@@ -76,20 +68,17 @@ ahead.  Its writes still cannot clobber a receive range:
     into this rank's slot 1 + j only after p finished iteration k.  That
     needed the iteration-k all-gather data of the same range, whose
     every shard was updated from a sum that passed through this rank's
-    fold of p's iteration-k step-j data: this rank sends it back only
-    after that fold under recursive doubling, and under one hop the
-    shards' players can update them only after it.  The range is empty
-    on both sides or on neither;
+    fold of p's iteration-k step-j data, so their players can update
+    them only after it.  The range is empty on both sides or on neither;
   * all-gather data for unit u of iteration k+1 exists only after every
     rank published u's k+1 gradient, since every element's sum holds
     every rank's contribution.  So it never lands while this rank is
     still in iteration k or a backward pass still reads the old weights:
     the backward pass propagates a layer's input gradient through the
     old weights before it emits the layer;
-  * slot 0 is read for sending only where no write lands in the same
-    iteration: a one-hop write carries only the sender's own shards,
-    which no other rank writes, and a recursive-doubling write carries
-    a range whose writes of the iteration all landed before it is sent.
+  * slot 0 is read for sending only where no write lands: an all-gather
+    write carries only the sender's own shards, which no other rank
+    writes.
 
 A rank never waits for its own writes.  ``write_notify`` promises local
 completion only: the payload has left its source range when the call
@@ -105,10 +94,9 @@ Notification values carry iteration+1, so an early k+2 is recognized and
 left pending until this rank reaches iteration k+1; k+3 cannot come,
 since a partner ends iteration k+1 only with this rank's k+1 data.  A
 write on a channel this rank does not expect, a second write on one, or
-all-gather data before this rank's own reduce-scatter data for it went
-out raises at the next pass; for a one-hop shard that is the
-reduce-scatter step whose send carried this rank's share of it.  The barrier baseline adds exactly two
-fences per iteration: one before its whole-model unit is published and
+a shard before the reduce-scatter step whose send carried this rank's
+share of it started raises at the next pass.  The barrier baseline adds
+exactly two fences per iteration: one before its whole-model unit is published and
 one after the iteration's traffic is done.  Those two barrier calls are
 the synchronization the pipelined schedule exists to avoid.
 """
@@ -271,10 +259,6 @@ class Rank:
 
         self.cube = build_hypercube(config.world_size)
         self.steps = self.cube.steps
-        # a link that charges per message ends each unit with a one-hop
-        # all-gather, a free link with recursive doubling (module docstring)
-        latency = transport.latency
-        self._one_hop = latency.fixed_ns > 0 or latency.per_byte_ns > 0
         self.vranks = [v for v, p in enumerate(self.cube.players) if p == self.rank]
         channels = 2 * len(self.cube.players)
         self.seg_work = transport.segment_create(SEG_WORK, lay.size(1), 1)
@@ -307,51 +291,38 @@ class Rank:
 
     def _plan(self, unit: int) -> list[_Phase]:
         """This rank's phases for one unit: reduce-scatter steps 0..d-1,
-        the update, then the all-gather: steps d-1..0 over free links, one
-        hop over links that charge per message.  Empty ranges are neither
-        sent nor waited for."""
+        the update, then the all-gather.  Empty ranges are neither sent
+        nor waited for."""
         lay, cube = self.layout, self.cube
         n = lay.param_counts[unit]
         grad = self.seg_work.view_f64(lay.offset(0, unit), n)
-        gather_channels = len(cube.players)
-        scatter, gather = [], []
+        phases = []
         gave = []  # (range, step) of every range this rank's reduce-scatter sent
         for j in range(self.steps):
             rx = self.seg_recv.view_f64(lay.offset(1 + j, unit), n)
             rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [])
-            ag = _Phase(f"all-gather step {j}", "model_forward", [], [])
             for v, w in cube.exchanges(self.rank, j):
                 peer = cube.players[w]
-                # v keeps one half of the range both hold, w the other: the
-                # reduce-scatter trades each its half, the all-gather back
+                # v keeps one half of the range both hold, w the other:
+                # each sends the other the half it gives up
                 keep = shard_range(n, v, j + 1)
                 give = shard_range(n, w, j + 1)
                 if keep[1] > keep[0]:
                     nid = lay.notif_id(w, unit)
                     rs.waits.append(_Wait(nid, peer, (rx[slice(*keep)], grad[slice(*keep)])))
                     self._expected[nid] = (unit, 0)
-                    ag.sends.append(self._write(peer, SEG_RECV, 0, unit, keep, gather_channels + v))
                 if give[1] > give[0]:
                     rs.sends.append(self._write(peer, SEG_WORK, 1 + j, unit, give, v))
                     gave.append((give, j))
-                    ag.waits.append(_Wait(lay.notif_id(gather_channels + w, unit), peer, None))
-            scatter.append(rs)
-            gather.append(ag)
-        if self._one_hop:
-            gather = [self._one_hop_gather(unit, gave)]
-        else:
-            for j, ag in enumerate(gather):
-                for wait in ag.waits:
-                    # w gathers its half only after this rank's step-j data
-                    self._expected[wait.nid] = (unit, j + 1)
-        return scatter + [_Phase("update", "master_update", [], [])] + gather[::-1]
+            phases.append(rs)
+        return phases + [_Phase("update", "master_update", [], []), self._gather(unit, gave)]
 
-    def _one_hop_gather(self, unit: int, gave: list[tuple[tuple[int, int], int]]) -> _Phase:
-        """The all-gather in one hop: the player of each non-empty shard
-        writes it from slot 0 into the same range of every other rank's
-        slot 0, on the shard's all-gather channel.  A shard comes only
-        after this rank started the reduce-scatter step whose send carried
-        its contribution to it, the one sent range that holds the shard."""
+    def _gather(self, unit: int, gave: list[tuple[tuple[int, int], int]]) -> _Phase:
+        """The all-gather: the player of each non-empty shard writes it
+        from slot 0 into the same range of every other rank's slot 0, on
+        the shard's all-gather channel.  A shard comes only after this
+        rank started the reduce-scatter step whose send carried its
+        contribution to it, the one sent range that holds the shard."""
         lay, cube, world = self.layout, self.cube, self.cfg.world_size
         n = lay.param_counts[unit]
         phase = _Phase("all-gather", "model_forward", [], [])

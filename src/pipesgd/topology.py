@@ -9,17 +9,15 @@ reference order every distributed sum must reproduce bit for bit.
 The hypercube: the engine does not move data along the tree.  It runs a
 recursive-halving reduce-scatter over partner distances 1, 2, 4, ...
 among ``P`` *virtual ranks*, ``P`` the world size rounded up to a power
-of two, then an all-gather of the finished shards: on free links a
-recursive-doubling one back over ..., 4, 2, 1; on links that charge per
-message a one-hop one, in which the player of each shard writes it to
-every other rank.  The all-gather only copies, so its shape leaves every
-sum as it is.  At reduce-scatter step ``j`` virtual rank ``v`` pairs with
-``v ^ 2**j``; both hold the sums of two aligned blocks of ``2**j``
-virtual ranks, the lower and the upper half of the block of ``2**(j+1)``
-that contains them.  A binomial subtree is exactly such a block, and the
-tree adds the same two block sums when it folds a subtree's last child,
-so with IEEE addition commutative every element gets the reference
-expression.  A virtual rank ``v >= N`` has no
+of two, then a one-hop all-gather of the finished shards, in which the
+player of each shard writes it to every other rank.  The all-gather only
+copies, so it leaves every sum as it is.  At reduce-scatter step ``j``
+virtual rank ``v`` pairs with ``v ^ 2**j``; both hold the sums of two
+aligned blocks of ``2**j`` virtual ranks, the lower and the upper half
+of the block of ``2**(j+1)`` that contains them.  A binomial subtree is
+exactly such a block, and the tree adds the same two block sums when it
+folds a subtree's last child, so with IEEE addition commutative every
+element gets the reference expression.  A virtual rank ``v >= N`` has no
 gradient; a block holding none but such ranks contributes nothing, and
 its partner's sum passes through unchanged instead of being added to
 zeros (``-0.0 + 0.0`` is ``+0.0``).

@@ -43,16 +43,16 @@ class TestInproc:
 
     @pytest.mark.parametrize("world_size", [1, 2, 3, 4, 6, 8])
     def test_latency_does_not_change_bits(self, world_size):
-        """Link latency switches the all-gather to one hop; ranks that play
-        several virtual ranks send every shard they own."""
+        """Link latency reorders arrivals; ranks that play several virtual
+        ranks send every shard they own."""
         cfg, ds = make_problem(world_size, iterations=3)
         jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=500_000, per_byte_ns=5.0))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
 
     def test_latency_with_units_smaller_than_the_hypercube(self, monkeypatch):
         """Per-layer units over 8 ranks: the 2-parameter top layer has
-        6 empty shards, which the one-hop all-gather neither sends nor
-        waits for."""
+        6 empty shards, which the all-gather neither sends nor waits
+        for."""
         monkeypatch.setattr(runtime, "plan_units", lambda *_args: [(0, 1), (1, 2), (2, 3)])
         cfg, ds = make_problem(8, layer_dims=(3, 4, 1, 1), iterations=3)
         jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=100_000))
@@ -97,8 +97,8 @@ class TestTcp:
         assert_bit_identical(run_tcp(cfg, ds), sequential_sgd(cfg, ds))
 
     def test_latency_does_not_change_bits(self):
-        """The one-hop all-gather over sockets, with rank 2 playing two
-        virtual ranks."""
+        """Link latency over sockets, with rank 2 playing two virtual
+        ranks."""
         cfg, ds = make_problem(3, iterations=3)
         jittered = run_tcp(cfg, ds, latency=LatencyModel(fixed_ns=200_000, per_byte_ns=5.0))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
