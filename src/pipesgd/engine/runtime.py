@@ -96,9 +96,10 @@ since a partner ends iteration k+1 only with this rank's k+1 data.  A
 write on a channel this rank does not expect, a second write on one, or
 a shard before the reduce-scatter step whose send carried this rank's
 share of it started raises at the next pass.  The barrier baseline adds
-exactly two fences per iteration: one before its whole-model unit is published and
-one after the iteration's traffic is done.  Those two barrier calls are
-the synchronization the pipelined schedule exists to avoid.
+exactly two fences per iteration: one before its whole-model unit is
+published and one after the iteration's traffic is done.  Those two
+barrier calls are the synchronization the pipelined schedule exists to
+avoid.
 """
 
 from __future__ import annotations
