@@ -26,10 +26,23 @@ same two segments, each an array of whole-model *slots* laid out as
 A receive slot is a single buffer; ``runtime`` gives the argument that no
 range of it is rewritten before it is read.
 
+A *replicated* unit (``runtime`` picks them from the link model) keeps
+its model in slot 0 and its gradient in SEG_WORK, but no data of it
+lands in a reduce-scatter slot or in slot 0: every rank writes its whole
+unit gradient from SEG_WORK to every peer and folds the peers' into it.
+Only when some unit replicates, SEG_RECV gains the *exchange ranges*
+after its slots: one range per iteration parity and sender, ``2N`` of
+them over ``N`` ranks, laid out as [parity][sender][replicated unit].
+A range holds the replicated units alone, not a whole model, so a plan
+without them costs no byte.  The parity keeps a fast sender's
+next-iteration data out of the range this rank may still be folding.
+
 Each transfer is one notify-write with one notification id, named by
 *channel*, the writer's side of the exchange: over ``P`` virtual ranks,
-channel ``w`` is reduce-scatter data from virtual rank ``w`` and channel
-``P + w`` all-gather data from it: shard ``w`` itself.  Ids are dense:
+channel ``w`` is reduce-scatter data from virtual rank ``w``, channel
+``P + w`` all-gather data from it: shard ``w`` itself, and, when some
+unit replicates, channel ``2P + parity*N + s`` the exchange data of rank
+``s`` for iterations of that parity.  Ids are dense:
 with U units, (channel, unit) carries ``1 + channel*U + unit``.  Id 0 is
 never assigned, every other id below :meth:`notif_count` is, and
 :meth:`decode` maps an id back to its (channel, unit), so one poll over
@@ -50,7 +63,17 @@ _FLOAT_BYTES = 8
 
 
 class SegmentLayout:
-    def __init__(self, param_counts: list[int]):
+    """``recv_slots`` whole-model slots head SEG_RECV; the exchange ranges
+    of the units flagged in ``replicated`` follow them, one per parity
+    and sender of ``world_size``."""
+
+    def __init__(
+        self,
+        param_counts: list[int],
+        recv_slots: int = 1,
+        replicated: list[bool] | None = None,
+        world_size: int = 1,
+    ):
         if not param_counts:
             raise ConfigError("layout needs at least one unit")
         if any(c < 1 for c in param_counts):
@@ -62,9 +85,26 @@ class SegmentLayout:
         self.unit_offsets = bounds[:-1]
         self.total_bytes = bounds[-1]
         self.total_params = sum(param_counts)
+        shared = [b if r else 0 for b, r in zip(self.unit_bytes, replicated or [])]
+        bounds = list(itertools.accumulate(shared, initial=0))
+        self._exchange_unit_offsets = bounds[:-1]
+        self.exchange_bytes = bounds[-1]
+        self.world_size = world_size
+        self.recv_slots = recv_slots
+        # the receive segment: the slots, then 2N exchange ranges
+        self.recv_bytes = self.size(recv_slots) + 2 * world_size * self.exchange_bytes
 
     def size(self, slots: int) -> int:
         return slots * self.total_bytes
+
+    def exchange_offset(self, parity: int, sender: int, unit: int) -> int:
+        """Byte offset of a replicated unit in the exchange range of one
+        iteration parity and sender."""
+        block = parity * self.world_size + sender
+        return (
+            self.size(self.recv_slots) + block * self.exchange_bytes
+            + self._exchange_unit_offsets[unit]
+        )
 
     def offset(self, slot: int, unit: int, element: int = 0) -> int:
         """Byte offset of one float of a unit in a slot."""

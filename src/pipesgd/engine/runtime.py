@@ -3,21 +3,26 @@
 A rank owns two segments (see :mod:`.layout`): its gradient and one
 receive segment, whose slot 0 is the rank's live model and slot 1 + j
 the data of reduce-scatter step j.  It works on float64 views into them,
-talks to its hypercube partners (:mod:`..topology`) through one-sided
-notify-writes, and sees every arrival through one notification poll per
-communication pass.  Nothing is copied or allocated per iteration: the
-backward pass writes gradients into their segment views, folds and the
-shard updates run in place, and all-gather data leaves from the weights
-the rank updated and lands in the weights the next forward pass reads.
-Model and gradient move in *transfer units*: contiguous ``[first,
-stop)`` layer ranges.  The barrier baseline moves one
-whole-model unit.  The pipelined schedule plans its units from the
-compute and link model (:func:`plan_units`): one unit per layer when the
-backward compute of the next layer can hide one more write, one
-fence-free whole-model unit when it cannot.  A multi-layer unit records
-its fold, flight and receive spans under timeline layer -1.
+talks to its peers (:mod:`..topology`) through one-sided notify-writes,
+and sees every arrival through one notification poll per communication
+pass.  Nothing is copied or allocated per iteration: the backward pass
+writes gradients into their segment views, folds and updates run in
+place, and all-gather data leaves from the weights the rank updated and
+lands in the weights the next forward pass reads.  Model and gradient
+move in *transfer units*: contiguous ``[first, stop)`` layer ranges.
+The barrier baseline moves one whole-model unit.  The pipelined
+schedule plans its units from the compute and link model
+(:func:`plan_units`): one unit per layer when the backward compute of
+the next layer can hide one more write, one fence-free whole-model unit
+when it cannot.  A multi-layer unit records its fold, flight and receive
+spans under timeline layer -1.
 
-Each unit runs one collective, in phases:
+Each unit runs one of two collectives, picked from the same link model.
+A unit is *latency-bound* when its serialization on one link is shorter
+than one write's fixed cost (unit bytes x ``per_byte_ns`` <
+``fixed_ns``): hops then cost more than bytes, so it is *replicated*
+and runs a one-hop allreduce.  At zero latency no unit is.  Every other
+unit is *sharded* and runs, in phases:
 
   * reduce-scatter step j = 0, 1, ...: for each virtual rank v it plays
     whose partner w = v ^ 2**j is played elsewhere, the rank writes the
@@ -29,11 +34,23 @@ Each unit runs one collective, in phases:
     plays from slot 0 into the same range of every other rank's slot 0,
     and waits until every shard it does not play landed in its own.
 
-Over 4 ranks a unit costs each rank 5 writes: 2 in the reduce-scatter
-and 3 in the all-gather, which run on 3 links side by side.  Its critical
-path is 3 hops and 1.0 model sizes, where a recursive-doubling all-gather
-that retraces the hypercube would cost 4 writes but chain 4 hops and 1.5
-model sizes.
+Over 4 ranks a sharded unit costs each rank 5 writes: 2 in the
+reduce-scatter and 3 in the all-gather, which run on 3 links side by
+side.  Its critical path is 3 hops and 1.0 model sizes, where a
+recursive-doubling all-gather that retraces the hypercube would cost 4
+writes but chain 4 hops and 1.5 model sizes.  A replicated unit runs:
+
+  * the exchange: the rank writes its whole unit gradient to every peer,
+    into the exchange range of its own rank and the iteration's parity,
+    and once the N - 1 peers' gradients landed, folds them in the order
+    of :func:`.sgd.tree_reduce` (binomial tree, children ascending);
+  * the update of the whole unit in place, on every rank; no all-gather
+    follows.
+
+That is one hop and N - 1 writes of the whole unit per rank, against
+1 + log2 N hops and about 1.5 unit sizes: a win only for units that are
+small against the link's fixed cost, where it shortens the exposed tail
+of the pipelined schedule, layer 0's collective.
 
 Every element is summed in the reference order of
 :func:`.sgd.tree_reduce` and updated by the reference rule, so all ranks
@@ -78,7 +95,15 @@ ahead.  Its writes still cannot clobber a receive range:
     old weights before it emits the layer;
   * slot 0 is read for sending only where no write lands: an all-gather
     write carries only the sender's own shards, which no other rank
-    writes.
+    writes;
+  * no write comes back after an exchange's fold, so a peer may finish
+    iteration k, and send its k+1 gradient, before this rank folded the
+    peer's k one.  The exchange ranges are therefore double-buffered by
+    iteration parity: the k+1 data lands in the other parity's range and
+    stays pending.  Peer p writes iteration-k+2 data into the parity-k
+    range only after it finished iteration k+1.  That needed this rank's
+    iteration-k+1 data, which this rank sends only after it finished
+    iteration k, and so after it folded that range.
 
 A rank never waits for its own writes.  ``write_notify`` promises local
 completion only: the payload has left its source range when the call
@@ -93,13 +118,14 @@ notification the reader saw, never through the writer's wait.
 Notification values carry iteration+1, so an early k+2 is recognized and
 left pending until this rank reaches iteration k+1; k+3 cannot come,
 since a partner ends iteration k+1 only with this rank's k+1 data.  A
-write on a channel this rank does not expect, a second write on one, or
-a shard before the reduce-scatter step whose send carried this rank's
-share of it started raises at the next pass.  The barrier baseline adds
-exactly two fences per iteration: one before its whole-model unit is
-published and one after the iteration's traffic is done.  Those two
-barrier calls are the synchronization the pipelined schedule exists to
-avoid.
+write on a channel this rank does not expect (among them exchange data
+for a sharded unit), a second write on one, a shard before the
+reduce-scatter step whose send carried this rank's share of it started,
+or exchange data on the other parity's id raises at the next pass.  The
+barrier baseline adds exactly two fences per iteration: one before its
+whole-model unit is published and one after the iteration's traffic is
+done.  Those two barrier calls are the synchronization the pipelined
+schedule exists to avoid.
 """
 
 from __future__ import annotations
@@ -115,7 +141,7 @@ from .. import net
 from ..buffers import buffer_add
 from ..errors import ConfigError, ProtocolError
 from ..timeline import TimelineEvent
-from ..topology import build_hypercube, shard_range
+from ..topology import build_hypercube, build_reduction_tree, shard_range
 from ..transport.base import LatencyModel, TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_RECV, SEG_WORK, SegmentLayout
@@ -185,12 +211,10 @@ class _Write(NamedTuple):
 
 
 class _Wait(NamedTuple):
-    """One planned arrival, and the fold it feeds in the reduce-scatter:
-    ``(received, gradient)`` views, or None."""
+    """One planned arrival."""
 
     nid: int
     sender: int
-    fold: tuple[np.ndarray, np.ndarray] | None
 
 
 class _Phase(NamedTuple):
@@ -198,15 +222,17 @@ class _Phase(NamedTuple):
     kind: str  # timeline kind of its writes
     sends: list[_Write]
     waits: list[_Wait]
+    # (addend, sum) views added in this order once every wait arrived
+    folds: list[tuple[np.ndarray, np.ndarray]]
 
 
 class TurnState:
     """Collective progress of one in-flight iteration, per unit.
 
     A unit runs its phases in order.  A phase *starts* by sending its
-    writes (the update phase: by updating this rank's shards) and *ends*
-    once every write it waits for has arrived and, in the reduce-scatter,
-    has been folded.
+    writes (the update phase: by updating what this rank updates of the
+    unit) and *ends* once every write it waits for has arrived and its
+    folds have run.
     """
 
     def __init__(self, num_units: int):
@@ -254,17 +280,26 @@ class Rank:
         self._bounds = bounds = list(
             itertools.accumulate((s.param_count for s in self.specs), initial=0)
         )
-        self.layout = lay = SegmentLayout(
-            [bounds[stop] - bounds[first] for first, stop in self.units]
-        )
+        counts = [bounds[stop] - bounds[first] for first, stop in self.units]
+        # latency-bound units: one write's serialization is shorter than
+        # its fixed cost, so hops, not bytes, set their collective's time
+        lat = transport.latency
+        self.replicated = [
+            n * np.float64().itemsize * lat.per_byte_ns < lat.fixed_ns for n in counts
+        ]
 
         self.cube = build_hypercube(config.world_size)
         self.steps = self.cube.steps
         self.vranks = [v for v, p in enumerate(self.cube.players) if p == self.rank]
-        channels = 2 * len(self.cube.players)
+        self.layout = lay = SegmentLayout(
+            counts, 1 + self.steps, self.replicated, config.world_size
+        )
+        # exchange channels follow the 2P hypercube channels
+        self._exchange_channel = 2 * len(self.cube.players)
+        channels = self._exchange_channel + (2 * config.world_size if any(self.replicated) else 0)
         self.seg_work = transport.segment_create(SEG_WORK, lay.size(1), 1)
         self.seg_recv = transport.segment_create(
-            SEG_RECV, lay.size(1 + self.steps), lay.notif_count(channels)
+            SEG_RECV, lay.recv_bytes, lay.notif_count(channels)
         )
 
         model_region = self.seg_recv.view_f64(0, lay.total_params)
@@ -276,11 +311,16 @@ class Rank:
         for l in range(self.num_layers):
             self.model_views[l][:] = start.layers[l]
 
-        # expected notification id -> (unit, phases this rank must have started)
-        self._expected: dict[int, tuple[int, int]] = {}
-        self._phases = [self._plan(unit) for unit in range(len(self.units))]
+        # expected notification id -> (unit, phases this rank must have
+        # started, iteration parity it serves or None for both)
+        self._expected: dict[int, tuple[int, int, int | None]] = {}
+        # per iteration parity, each unit's phases; a sharded unit's are shared
+        self._plans = tuple(zip(*(
+            self._exchange(unit) if self.replicated[unit] else [self._plan(unit)] * 2
+            for unit in range(len(self.units))
+        )))
         self._pieces = [
-            self._shard_pieces(unit, model_region, grad_region) for unit in range(len(self.units))
+            self._update_pieces(unit, model_region, grad_region) for unit in range(len(self.units))
         ]
         # every id in [1, count) is assigned, so polls cover exactly that span
         self._poll_ids = lay.notif_count(channels) - 1
@@ -301,7 +341,7 @@ class Rank:
         gave = []  # (range, step) of every range this rank's reduce-scatter sent
         for j in range(self.steps):
             rx = self.seg_recv.view_f64(lay.offset(1 + j, unit), n)
-            rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [])
+            rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [], [])
             for v, w in cube.exchanges(self.rank, j):
                 peer = cube.players[w]
                 # v keeps one half of the range both hold, w the other:
@@ -310,13 +350,15 @@ class Rank:
                 give = shard_range(n, w, j + 1)
                 if keep[1] > keep[0]:
                     nid = lay.notif_id(w, unit)
-                    rs.waits.append(_Wait(nid, peer, (rx[slice(*keep)], grad[slice(*keep)])))
-                    self._expected[nid] = (unit, 0)
+                    rs.waits.append(_Wait(nid, peer))
+                    rs.folds.append((rx[slice(*keep)], grad[slice(*keep)]))
+                    self._expected[nid] = (unit, 0, None)
                 if give[1] > give[0]:
                     rs.sends.append(self._write(peer, SEG_WORK, 1 + j, unit, give, v))
                     gave.append((give, j))
             phases.append(rs)
-        return phases + [_Phase("update", "master_update", [], []), self._gather(unit, gave)]
+        update = _Phase("update", "master_update", [], [], [])
+        return phases + [update, self._gather(unit, gave)]
 
     def _gather(self, unit: int, gave: list[tuple[tuple[int, int], int]]) -> _Phase:
         """The all-gather: the player of each non-empty shard writes it
@@ -326,7 +368,7 @@ class Rank:
         contribution to it, the one sent range that holds the shard."""
         lay, cube, world = self.layout, self.cube, self.cfg.world_size
         n = lay.param_counts[unit]
-        phase = _Phase("all-gather", "model_forward", [], [])
+        phase = _Phase("all-gather", "model_forward", [], [], [])
         for x, player in enumerate(cube.players):
             lo, hi = shard = shard_range(n, x, self.steps)
             if lo == hi:
@@ -341,9 +383,58 @@ class Rank:
             else:
                 (step,) = [j for (a, b), j in gave if a <= lo and hi <= b]
                 nid = lay.notif_id(channel, unit)
-                phase.waits.append(_Wait(nid, player, None))
-                self._expected[nid] = (unit, step + 1)
+                phase.waits.append(_Wait(nid, player))
+                self._expected[nid] = (unit, step + 1, None)
         return phase
+
+    def _exchange(self, unit: int) -> list[list[_Phase]]:
+        """A replicated unit's phases for even and odd iterations: the
+        one-hop exchange, then the update of the whole unit.
+
+        The rank writes its whole unit gradient into its own range of
+        every peer's exchange ranges of the iteration's parity, and once
+        every peer's landed, folds them in :func:`.sgd.tree_reduce`'s
+        order.  The running sum of this rank's tree path stays in its
+        gradient: where the tree adds a path child's sum to its parent's
+        partial sum, the fold adds the partial sum to the gradient
+        instead, the same IEEE sum, so the total ends there."""
+        lay, world = self.layout, self.cfg.world_size
+        n = lay.param_counts[unit]
+        grad = self.seg_work.view_f64(lay.offset(0, unit), n)
+        tree = build_reduction_tree(world)
+        path, node = {tree.root}, self.rank  # this rank and its ancestors
+        while node != tree.root:
+            path.add(node)
+            node = tree.parent[node]
+        plans = []
+        for parity in (0, 1):
+            base = self._exchange_channel + parity * world  # sender 0's channel
+            phase = _Phase("exchange", "send_trigger", [], [], [])
+            for i in range(1, world):
+                dest = (self.rank + i) % world
+                phase.sends.append(_Write(
+                    dest, SEG_WORK, lay.offset(0, unit),
+                    lay.exchange_offset(parity, self.rank, unit), lay.unit_bytes[unit],
+                    lay.notif_id(base + self.rank, unit),
+                ))
+            home = []  # where each rank's subtree sum builds up
+            for sender in range(world):
+                if sender == self.rank:
+                    home.append(grad)
+                    continue
+                nid = lay.notif_id(base + sender, unit)
+                phase.waits.append(_Wait(nid, sender))
+                self._expected[nid] = (unit, 0, parity)
+                home.append(self.seg_recv.view_f64(lay.exchange_offset(parity, sender, unit), n))
+            for r in reversed(range(world)):
+                for c in tree.children[r]:
+                    if c in path:
+                        phase.folds.append((home[r], home[c]))
+                        home[r] = home[c]
+                    else:
+                        phase.folds.append((home[c], home[r]))
+            plans.append([phase, _Phase("update", "master_update", [], [], [])])
+        return plans
 
     def _write(
         self, dest: int, segment: int, slot: int, unit: int, span: tuple[int, int], channel: int
@@ -357,15 +448,20 @@ class Rank:
             lay.offset(0, unit, hi) - lay.offset(0, unit, lo), lay.notif_id(channel, unit),
         )
 
-    def _shard_pieces(self, unit: int, model: np.ndarray, grad: np.ndarray) -> list:
-        """(layer, weights, gradient) views of this rank's shards of one
-        unit, one piece per layer a shard touches; ``model`` and ``grad``
-        are the whole-model regions."""
+    def _update_pieces(self, unit: int, model: np.ndarray, grad: np.ndarray) -> list:
+        """(layer, weights, gradient) views of what this rank updates of
+        one unit - its shards, or the whole unit if it is replicated - one
+        piece per layer a range touches; ``model`` and ``grad`` are the
+        whole-model regions."""
         first, stop = self.units[unit]
         bounds = self._bounds
+        n = self.layout.param_counts[unit]
+        spans = (
+            [(0, n)] if self.replicated[unit]
+            else [shard_range(n, v, self.steps) for v in self.vranks]
+        )
         pieces = []
-        for v in self.vranks:
-            lo, hi = shard_range(self.layout.param_counts[unit], v, self.steps)
+        for lo, hi in spans:
             for layer in range(first, stop):
                 a = max(bounds[first] + lo, bounds[layer])
                 b = min(bounds[first] + hi, bounds[layer + 1])
@@ -489,6 +585,7 @@ class Rank:
     def begin_iteration(self, k: int) -> None:
         self.k = k
         self.state = TurnState(len(self.units))
+        self._phases = self._plans[k & 1]
 
     def run_turn(self, layer: int, gradient) -> None:
         """Take one layer's local gradient; start its unit if it is the lowest layer.
@@ -562,10 +659,17 @@ class Rank:
         """Check one consumed arrival against the plan, then record it."""
         st = self.state
         if nid not in self._expected:
-            channel, _ = self.layout.decode(nid)
+            channel, unit = self.layout.decode(nid)
+            if channel >= self._exchange_channel:
+                owned = (channel - self._exchange_channel) % self.cfg.world_size == self.rank
+                self._violation(nid, "a range this rank owns" if owned else "for a sharded unit")
+            if self.replicated[unit]:
+                self._violation(nid, "for a replicated unit")
             owned = channel % len(self.cube.players) in self.vranks
             self._violation(nid, "a range this rank owns" if owned else "not from a partner")
-        unit, need_started = self._expected[nid]
+        unit, need_started, parity = self._expected[nid]
+        if parity not in (None, self.k & 1):
+            self._violation(nid, f"on the other iteration parity's id in iteration {self.k}")
         if nid in st.arrived[unit]:
             self._violation(nid, "a duplicate")
         if st.started[unit] < need_started:
@@ -575,19 +679,22 @@ class Rank:
 
     def _violation(self, nid: int, problem: str) -> None:
         channel, unit = self.layout.decode(nid)
-        gather, w = divmod(channel, len(self.cube.players))
-        kind = "all-gather" if gather else "reduce-scatter"
-        raise ProtocolError(
-            f"rank {self.rank}: {kind} write from virtual rank {w} for unit {unit}: {problem}"
-        )
+        if channel >= self._exchange_channel:
+            parity, s = divmod(channel - self._exchange_channel, self.cfg.world_size)
+            source = f"exchange write from rank {s} (parity {parity})"
+        else:
+            gather, w = divmod(channel, len(self.cube.players))
+            kind = "all-gather" if gather else "reduce-scatter"
+            source = f"{kind} write from virtual rank {w}"
+        raise ProtocolError(f"rank {self.rank}: {source} for unit {unit}: {problem}")
 
     def _advance(self, unit: int) -> None:
         """Run a started unit's phases while their arrivals are in.
 
         Entering a phase sends its writes, or, between the two halves of
-        the collective, updates this rank's shards; a phase ends once all
-        of its waits arrived, folding reduce-scatter data into the
-        gradient in the order the phase lists it.
+        the collective, updates what this rank updates of the unit; a
+        phase ends once all of its waits arrived, running its folds in
+        the order the phase lists them.
         """
         st = self.state
         if not st.local_gradient_ready[unit]:
@@ -598,20 +705,19 @@ class Rank:
             phase = phases[p]
             if st.started[unit] == p:
                 st.started[unit] = p + 1
-                if p == self.steps:
+                if phase.kind == "master_update":
                     self._apply_update(unit)
                 for write in phase.sends:
                     self._send(unit, phase.kind, write)
             arrived = st.arrived[unit]
             if not all(wait.nid in arrived for wait in phase.waits):
                 return
-            for wait in phase.waits:
-                if wait.fold is not None:
-                    t0 = time.monotonic_ns()
-                    buffer_add(*wait.fold)
-                    self._record("reduce_local", self._labels[unit], t0, time.monotonic_ns())
-                    for layer in range(first, stop):
-                        self.fold_counts[layer] += 1
+            for addend, total in phase.folds:
+                t0 = time.monotonic_ns()
+                buffer_add(addend, total)
+                self._record("reduce_local", self._labels[unit], t0, time.monotonic_ns())
+                for layer in range(first, stop):
+                    self.fold_counts[layer] += 1
             st.ended[unit] = p + 1
 
     def _iteration_done(self) -> bool:

@@ -6,9 +6,11 @@ same floating point expressions.  The reference sums the per-rank batch
 gradients child by child in ascending rank order up the binomial tree
 (:func:`tree_reduce`); the engine's reduce-scatter adds the same pairs of
 subtree sums, each element on the rank that owns it (see
-:mod:`..topology`).  Every element is then updated by
-:func:`apply_update` - in place on the shard's owner in the engine, on
-copies through :func:`master_update` in the reference.
+:mod:`..topology`), and a replicated unit is folded whole on every rank,
+in the same order.  Every element is then updated by
+:func:`apply_update` - in place on the shard's owner, or on every rank
+for a replicated unit, in the engine, on copies through
+:func:`master_update` in the reference.
 """
 
 from __future__ import annotations

@@ -29,6 +29,11 @@ and its partner ``v - 2**j`` holds the sum of the whole block on the
 range both split, so the partner's player takes ``v`` on without a write
 (:func:`build_hypercube`).  The shards of absent virtual ranks thus spread
 over the present ranks of their block.
+
+A unit small enough that a write's fixed cost outweighs its bytes skips
+the hypercube: every rank receives every other rank's gradient for it
+and folds the whole tree itself, in the tree's own order, so each rank
+computes the same sum the reference does, with no virtual ranks.
 """
 
 from __future__ import annotations

@@ -117,6 +117,28 @@ class TestSegmentLayout:
         assert sorted(ids) == list(range(1, lay.notif_count(slots)))
         assert all(lay.decode(nid) == key for nid, key in ids.items())
 
+    @pytest.mark.parametrize("world_size", [1, 2, 3, 5])
+    def test_exchange_ranges_follow_the_slots(self, world_size):
+        """The exchange ranges hold the replicated units only, one range
+        per iteration parity and sender, after the receive slots: every
+        (parity, sender, unit) span is disjoint from the others and from
+        the slots, and they end the receive segment."""
+        lay = SegmentLayout([10, 4, 6, 3], 3, [True, False, True, False], world_size)
+        assert lay.exchange_bytes == 8 * (10 + 6)
+        assert lay.recv_bytes == lay.size(3) + 2 * world_size * lay.exchange_bytes
+        spans = sorted(
+            (lay.exchange_offset(q, s, u), lay.exchange_offset(q, s, u) + lay.unit_bytes[u])
+            for q in (0, 1) for s in range(world_size) for u in (0, 2)
+        )
+        assert spans[0][0] == lay.size(3)
+        for (_, a1), (b0, _) in zip(spans, spans[1:]):
+            assert a1 == b0
+        assert spans[-1][1] == lay.recv_bytes
+
+    def test_no_exchange_ranges_without_replicated_units(self):
+        lay = SegmentLayout([10, 4], 2, [False, False], 4)
+        assert lay.recv_bytes == lay.size(2)
+
     @pytest.mark.parametrize("bad", [[], [0], [5, -1]])
     def test_rejects_bad_layer_counts(self, bad):
         with pytest.raises(ConfigError):

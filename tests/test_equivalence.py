@@ -33,6 +33,26 @@ def assert_bit_identical(results, reference):
             )
 
 
+# per-layer units over dims 5-7-400-3 at 300 us + 20 ns/B: 336 B, 25.6 KB
+# and 9.6 KB, so the first and last replicate and the middle one does not
+ALTERNATING_PLAN = [(0, 1), (1, 2), (2, 3)]
+ALTERNATING_LATENCY = LatencyModel(fixed_ns=300_000, per_byte_ns=20.0)
+
+
+def assert_alternating_plan_matches(monkeypatch, launcher, world_size):
+    # forked tcp children inherit the patched planner
+    monkeypatch.setattr(runtime, "plan_units", lambda *_args: ALTERNATING_PLAN)
+    cfg, ds = make_problem(world_size, layer_dims=(5, 7, 400, 3), iterations=3)
+    results = launcher(cfg, ds, latency=ALTERNATING_LATENCY)
+    assert_bit_identical(results, sequential_sgd(cfg, ds))
+    # a replicated layer folds once per peer, a sharded one once per step
+    steps = (world_size - 1).bit_length()
+    if world_size & (world_size - 1) == 0:  # no rank plays extra virtual ranks
+        per_iter = [world_size - 1, steps, world_size - 1]
+        for result in results:
+            assert result.fold_counts == [n * cfg.iterations for n in per_iter]
+
+
 class TestInproc:
     @pytest.mark.parametrize("world_size", [1, 2, 3, 4, 6, 8])
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
@@ -57,6 +77,12 @@ class TestInproc:
         cfg, ds = make_problem(8, layer_dims=(3, 4, 1, 1), iterations=3)
         jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=100_000))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
+
+    @pytest.mark.parametrize("world_size", [2, 3, 4, 6, 8])
+    def test_replicated_and_sharded_units_alternate(self, monkeypatch, world_size):
+        """Per-layer units at 300 us + 20 ns/B: the 336-byte and 9.6 KB
+        layers replicate, the 25.6 KB one between them stays sharded."""
+        assert_alternating_plan_matches(monkeypatch, run_inproc, world_size)
 
     def test_patterns_agree_with_each_other(self):
         cfg, ds = make_problem(4)
@@ -102,6 +128,10 @@ class TestTcp:
         cfg, ds = make_problem(3, iterations=3)
         jittered = run_tcp(cfg, ds, latency=LatencyModel(fixed_ns=200_000, per_byte_ns=5.0))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
+
+    @pytest.mark.parametrize("world_size", [3, 4])
+    def test_replicated_and_sharded_units_alternate(self, monkeypatch, world_size):
+        assert_alternating_plan_matches(monkeypatch, run_tcp, world_size)
 
 
 class TestMixedUnits:
@@ -163,6 +193,26 @@ class TestHypercube:
         )
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         assert_bit_identical(run_inproc(cfg, ds), sequential_sgd(cfg, ds))
+
+    @pytest.mark.parametrize("world_size", range(1, 17))
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_every_world_size_matches_reference_replicated(
+        self, monkeypatch, pattern, world_size
+    ):
+        """The same runs with 50 us of fixed link latency and no per-byte
+        cost, so every unit replicates: each rank folds every peer's
+        whole unit in tree_reduce's order, with no virtual ranks."""
+        monkeypatch.setattr(runtime, "plan_units", lambda *_args: [(0, 1), (1, 2), (2, 3)])
+        cfg = TrainConfig(
+            layer_dims=(3, 4, 1, 1), world_size=world_size, iterations=3,
+            batch_size=world_size, dataset_size=32, seed=23, pattern=pattern,
+            finalize_timeout_s=10.0,
+        )
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        results = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=50_000))
+        assert_bit_identical(results, sequential_sgd(cfg, ds))
+        for result in results:
+            assert result.fold_counts == [(world_size - 1) * cfg.iterations] * 3
 
 
 class TestLearning:

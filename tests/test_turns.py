@@ -30,14 +30,14 @@ from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
 def make_ranks():
     worlds = []
 
-    def build(world_size, **overrides):
+    def build(world_size, latency=None, **overrides):
         cfg = TrainConfig(**{
             "layer_dims": (4, 3), "world_size": world_size, "iterations": 1,
             "batch_size": 8, "dataset_size": 16, "seed": 7, "finalize_timeout_s": 5.0,
             **overrides,
         })
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
-        world = InprocWorld(world_size)
+        world = InprocWorld(world_size, latency)
         worlds.append(world)
         ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]
         return cfg, ds, ranks
@@ -50,6 +50,11 @@ def make_ranks():
 def grad(rank, value):
     """A constant layer-0 gradient of the right size for one rank."""
     return np.full(rank.specs[0].param_count, float(value))
+
+
+# 1 ns of fixed link cost and none per byte: every unit is latency-bound,
+# so it replicates, and a write is visible to the next poll
+REPLICATE = LatencyModel(fixed_ns=1)
 
 
 class CountingTransport:
@@ -205,7 +210,33 @@ class TestSignedZeros:
         a +0.0 added for a virtual rank without a gradient would flip; a
         third mix values whose sum depends on the fold order; a third
         sum -0.0 and one +0.0 to +0.0."""
-        cfg, _, ranks = make_ranks(world_size, layer_dims=(8, 8), batch_size=world_size)
+        ranks, scaled, model = self.collective(make_ranks, world_size, latency=None)
+        for r in ranks:
+            n = r.layout.param_counts[0]
+            for v in r.vranks:
+                lo, hi = shard_range(n, v, r.steps)
+                assert r.grad_views[0][lo:hi].tobytes() == scaled[lo:hi].tobytes(), (r.rank, v)
+            assert r.model_views[0].tobytes() == model
+
+    @pytest.mark.parametrize("world_size", range(1, 17))
+    def test_replicated_sum_on_every_rank(self, make_ranks, world_size):
+        """The same gradients through the one-hop allreduce: every rank
+        folds the whole sum into its own gradient, so each holds epsilon
+        times tree_reduce's sum in full, and every model the reference
+        update."""
+        ranks, scaled, model = self.collective(make_ranks, world_size, latency=REPLICATE)
+        for r in ranks:
+            assert r.replicated == [True]
+            assert r.grad_views[0].tobytes() == scaled.tobytes(), r.rank
+            assert r.model_views[0].tobytes() == model
+
+    @staticmethod
+    def collective(make_ranks, world_size, latency):
+        """One layer-0 collective over signed-zero gradients; returns the
+        ranks, epsilon times the reference sum and the reference model."""
+        cfg, _, ranks = make_ranks(
+            world_size, latency, layer_dims=(8, 8), batch_size=world_size
+        )
         n = ranks[0].specs[0].param_count
         third = n // 3
         rnd = np.random.default_rng(world_size)
@@ -224,13 +255,7 @@ class TestSignedZeros:
         for r, g in zip(ranks, partials):
             r.run_turn(0, g)
         settle(ranks)
-        scaled = want * cfg.epsilon
-        model = master_update(w0, want, cfg.epsilon).tobytes()
-        for r in ranks:
-            for v in r.vranks:
-                lo, hi = shard_range(n, v, r.steps)
-                assert r.grad_views[0][lo:hi].tobytes() == scaled[lo:hi].tobytes(), (r.rank, v)
-            assert r.model_views[0].tobytes() == model
+        return ranks, want * cfg.epsilon, master_update(w0, want, cfg.epsilon).tobytes()
 
 
 def send_planned(rank, phase, unit=0):
@@ -364,7 +389,92 @@ class TestProtocolViolations:
             r0._comm_pass()
 
 
+    def test_duplicate_exchange_write_raises(self, make_ranks):
+        """A rank writes its replicated unit gradient to each peer once
+        per iteration."""
+        _, _, (r0, r1) = make_ranks(2, REPLICATE)
+        r0.begin_iteration(0)
+        r1.begin_iteration(0)
+        r1.run_turn(0, grad(r1, 1.0))
+        r0.run_turn(0, grad(r0, 1.0))
+        assert r0._iteration_done()
+        send_planned(r1, 0)  # replay the exchange write
+        with pytest.raises(
+            ProtocolError, match=r"exchange write from rank 1 \(parity 0\) for unit 0: a duplicate"
+        ):
+            r0._comm_pass()
+
+    def test_exchange_write_for_a_sharded_unit_raises(self, make_ranks):
+        """At 1 us + 5 ns/B the 240-byte layer 0 stays sharded and the
+        168-byte layer 1 replicates; exchange data for layer 0 raises."""
+        _, _, (r0, r1) = make_ranks(
+            2, LatencyModel(fixed_ns=1_000, per_byte_ns=5.0), layer_dims=(4, 6, 3),
+            compute_inflation_ns=1_000_000,
+        )
+        assert r0.units == [(0, 1), (1, 2)]
+        assert r0.replicated == [False, True]
+        r0.begin_iteration(0)
+        lay = r1.layout
+        exchange = r1._exchange_channel  # parity 0, sender 0's channel
+        r1.tr.write_notify(WriteRequest(
+            local_segment=SEG_WORK, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.exchange_offset(0, 1, 1), size=8,
+            notification_id=lay.notif_id(exchange + 1, 0), notification_value=1,
+        ))
+        with pytest.raises(
+            ProtocolError, match=r"exchange write from rank 1 \(parity 0\) for unit 0: for a sharded unit"
+        ):
+            r0._comm_pass()
+
+    def test_reduce_scatter_write_for_a_replicated_unit_raises(self, make_ranks):
+        """A replicated unit has no reduce-scatter: data on its
+        reduce-scatter channel raises, even from the hypercube partner."""
+        _, _, (r0, r1) = make_ranks(2, REPLICATE)
+        r0.begin_iteration(0)
+        lay = r1.layout
+        r1.tr.write_notify(WriteRequest(
+            local_segment=SEG_WORK, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.offset(1, 0), size=8,
+            notification_id=lay.notif_id(1, 0), notification_value=1,
+        ))
+        with pytest.raises(
+            ProtocolError,
+            match="reduce-scatter write from virtual rank 1 for unit 0: for a replicated unit",
+        ):
+            r0._comm_pass()
+
+    def test_exchange_write_on_the_other_paritys_id_raises(self, make_ranks):
+        """Iteration-0 exchange data belongs on the even ids; value 1 on
+        an odd id raises."""
+        _, _, (r0, r1) = make_ranks(2, REPLICATE)
+        r0.begin_iteration(0)
+        lay = r1.layout
+        odd = r1._exchange_channel + 2  # parity 1, sender 0's channel
+        r1.tr.write_notify(WriteRequest(
+            local_segment=SEG_WORK, local_offset=0, rank=0, remote_segment=SEG_RECV,
+            remote_offset=lay.exchange_offset(1, 1, 0), size=8,
+            notification_id=lay.notif_id(odd + 1, 0), notification_value=1,
+        ))
+        with pytest.raises(
+            ProtocolError,
+            match=r"exchange write from rank 1 \(parity 1\) for unit 0: on the other iteration parity's id",
+        ):
+            r0._comm_pass()
+
+
 class TestWatchdog:
+    def test_a_stall_in_the_exchange_names_the_silent_ranks(self, make_ranks):
+        """A replicated unit waits in its exchange phase on every peer
+        that has not written its gradient."""
+        _, _, (r0, r1, _r2) = make_ranks(3, REPLICATE, batch_size=3, finalize_timeout_s=0.2)
+        for r in (r0, r1):
+            r.begin_iteration(0)
+            r.run_turn(0, grad(r, 1.0))
+        with pytest.raises(
+            ProtocolError, match=r"layers \[0, 1\) exchange \(ranks pending: \[2\]\)"
+        ):
+            r0.finalize_iteration()
+
     def test_a_stall_names_the_phase_and_the_silent_rank(self, make_ranks):
         """Rank 1 never runs: rank 0's finalize gives up and says which
         phase of which unit waits on which rank."""
@@ -415,6 +525,21 @@ class TestReceiveSegment:
         results = run_inproc(cfg, ds)
         assert seen == {r: (True, True) for r in range(4)}
         assert len(results[0].units) == (2 if pattern == "pipelined" else 1)
+
+    def test_exchange_ranges_only_for_replicated_units(self, make_ranks):
+        """A replicated unit adds, after the live model and one slot per
+        hypercube step, two exchange ranges of its own size per rank
+        (iteration parity x sender) and 2N channels; a sharded unit adds
+        neither."""
+        _, _, ranks = make_ranks(
+            4, LatencyModel(fixed_ns=1_000, per_byte_ns=5.0), layer_dims=(4, 6, 3),
+            compute_inflation_ns=1_000_000,
+        )
+        lay = ranks[0].layout
+        assert ranks[0].replicated == [False, True]
+        for r in ranks:
+            assert r.seg_recv.size == lay.size(1 + 2) + 2 * 4 * lay.unit_bytes[1]
+            assert r.seg_recv.notifications.count == 1 + (2 * 4 + 2 * 4) * 2
 
     def test_one_poll_per_pass(self):
         """A rank sees reduce-scatter and all-gather traffic through one poll."""
@@ -535,6 +660,42 @@ class TestCrossIteration:
         assert r0.model_views[0].tobytes() == r1.model_views[0].tobytes()
 
 
+    def test_fast_peer_exchange_lands_in_the_other_paritys_range(self, make_ranks):
+        """Rank 1 finishes iteration 0 and sends its iteration-1 gradient
+        before rank 0 has folded rank 1's iteration-0 one.  The early write
+        lands in the odd exchange range and stays pending, so the even
+        range still holds the iteration-0 data rank 0 folds next."""
+        cfg, _, (r0, r1) = make_ranks(2, REPLICATE, iterations=2)
+        lay = r0.layout
+        r0.begin_iteration(0)
+        r1.begin_iteration(0)
+        r0.run_turn(0, grad(r0, 2.0))       # rank 1's data not in yet
+        r1.run_turn(0, grad(r1, 1.0))       # folds rank 0's, updates: done
+        r1.finalize_iteration()
+        r1.begin_iteration(1)
+        r1.run_turn(0, grad(r1, 5.0))       # iteration-1 data goes out
+
+        def exchange(parity):
+            return r0.seg_recv.view_f64(lay.exchange_offset(parity, 1, 0), lay.param_counts[0])
+
+        odd = lay.notif_id(r0._exchange_channel + 2 + 1, 0)
+        assert exchange(0).tolist() == grad(r1, 1.0).tolist()
+        assert exchange(1).tolist() == grad(r1, 5.0).tolist()
+        assert r0.tr.notify_poll(SEG_RECV, odd, 1) == [(odd, 2)]
+        w0 = r0.model_views[0].copy()
+        r0.finalize_iteration()
+        want = master_update(w0, np.full(w0.size, 3.0), cfg.epsilon)
+        assert r0.model_views[0].tobytes() == want.tobytes()
+        assert r0.tr.notify_poll(SEG_RECV, odd, 1) == [(odd, 2)]
+
+        r0.begin_iteration(1)
+        r0.run_turn(0, grad(r0, 7.0))
+        r0.finalize_iteration()
+        r1.finalize_iteration()
+        assert r0.fold_counts[0] == 2    # one fold per iteration
+        assert r0.model_views[0].tobytes() == r1.model_views[0].tobytes()
+
+
 def writes_per_rank_per_iteration(monkeypatch, cfg, latency=None):
     counters = {}
     make_transport = InprocWorld.transport
@@ -580,15 +741,31 @@ class TestTraffic:
 
     def test_one_write_per_layer_when_compute_hides_it(self, monkeypatch):
         """With link latency and backward compute that outlasts one more
-        write, the pipelined schedule keeps the paper's per-layer units."""
+        write, the pipelined schedule keeps the paper's per-layer units.
+        At 100 us + 1 ns/B both the 448-byte and the 288-byte unit are
+        latency-bound, so each rank writes each of them once to each of
+        its 3 peers."""
         cfg = TrainConfig(
             layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
             dataset_size=16, seed=9, compute_inflation_ns=1_000_000,
         )
         latency = LatencyModel(fixed_ns=100_000, per_byte_ns=1.0)
         per_iter = writes_per_rank_per_iteration(monkeypatch, cfg, latency)
-        per_edge = len(cfg.specs())
-        assert per_iter == {r: n * per_edge for r, n in WRITES_PER_UNIT[4].items()}
+        assert per_iter == {r: 3 * len(cfg.specs()) for r in range(4)}
+
+    def test_a_unit_that_serializes_longer_than_the_fixed_cost_stays_sharded(
+        self, monkeypatch
+    ):
+        """At 100 us + 300 ns/B the 448-byte unit takes 134 us on the wire
+        and keeps the reduce-scatter and all-gather (2 + 3 writes); the
+        288-byte one takes 86 us and replicates (3 writes)."""
+        cfg = TrainConfig(
+            layer_dims=(6, 8, 4), world_size=4, iterations=3, batch_size=8,
+            dataset_size=16, seed=9, compute_inflation_ns=1_000_000,
+        )
+        latency = LatencyModel(fixed_ns=100_000, per_byte_ns=300.0)
+        per_iter = writes_per_rank_per_iteration(monkeypatch, cfg, latency)
+        assert per_iter == {r: WRITES_PER_UNIT[4][r] + 3 for r in range(4)}
 
 
     @pytest.mark.parametrize("world_size", [3, 6])
@@ -771,6 +948,10 @@ class ScriptedRank:
 
 
 MULTI_LAYER_PLANS = [[(0, 2), (2, 3)], [(0, 1), (1, 3)], [(0, 3)]]
+# Over dims 5-7-6-3 (336, 384 and 168 bytes per layer): every unit
+# replicates, or those under 400 bytes do: (0, 1) and (2, 3) but not
+# (1, 3), (0, 2) or the whole model.
+LATENCY_BOUND = [LatencyModel(fixed_ns=50_000), LatencyModel(fixed_ns=8_000, per_byte_ns=20.0)]
 
 
 class TestDeliveryOrders:
@@ -786,15 +967,35 @@ class TestDeliveryOrders:
 
         Each rank gets a drawn speed, so fast ranks run an iteration ahead:
         over three iterations their next-iteration units land while a slow
-        peer still polls in the current one, on both parities.  None of it
-        may raise or move a bit.
+        peer still polls in the current one.  None of it may raise or move
+        a bit.
         """
+        self.interleave(world_size, plan, speeds, seed, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        world_size=st.integers(2, 4),
+        plan=st.sampled_from(MULTI_LAYER_PLANS),
+        speeds=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        latency=st.sampled_from(LATENCY_BOUND),
+    )
+    def test_any_interleaving_matches_reference_under_latency(
+        self, world_size, plan, speeds, seed, latency
+    ):
+        """The same schedules with latency-bound units, which run the
+        one-hop allreduce: a fast rank's next-iteration gradient lands in
+        the exchange range of the other parity."""
+        self.interleave(world_size, plan, speeds, seed, latency)
+
+    @staticmethod
+    def interleave(world_size, plan, speeds, seed, latency):
         cfg = TrainConfig(
             layer_dims=(5, 7, 6, 3), world_size=world_size, iterations=3,
             batch_size=12, dataset_size=24, seed=11, finalize_timeout_s=5.0,
         )
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
-        world = InprocWorld(world_size)
+        world = InprocWorld(world_size, latency)
         try:
             with patch.object(runtime, "plan_units", lambda *_args: plan):
                 ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]

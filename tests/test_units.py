@@ -112,3 +112,24 @@ class TestBenchmarkPlans:
             plan = plan_units(num_layers, w.compute_inflation_ns, w.latency or ZERO)
             want = [(0, num_layers)] if expected[w.name] == "whole" else per_layer(num_layers)
             assert plan == want, w.name
+
+    @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
+    def test_replicated_units_per_workload(self, pattern):
+        """A unit replicates when one write's serialization is shorter than
+        the link's fixed cost.  tcp-latency's 5.6 KB layer 0 and 5.2 KB
+        layer 6 do (113 and 104 us against 200 us), its other layers and
+        the barrier's whole-model unit do not; zero latency replicates
+        nothing."""
+        expected = {
+            "tcp-latency": [True] + [False] * 5 + [True] if pattern == "pipelined" else [False],
+            "inproc-small": [False],
+            "tcp-wide": [False],
+        }
+        for w in benchmark_workloads():
+            cfg = w.config(seed=1).replace(pattern=pattern)
+            world = InprocWorld(cfg.world_size, w.latency)
+            try:
+                rank = Rank(cfg, w.dataset(cfg), world.transport(0))
+            finally:
+                world.close()
+            assert rank.replicated == expected[w.name], w.name
