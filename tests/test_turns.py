@@ -388,7 +388,6 @@ class TestProtocolViolations:
         with pytest.raises(ProtocolError, match="reduce-scatter write from virtual rank 3 for unit 0: not from a partner"):
             r0._comm_pass()
 
-
     def test_duplicate_exchange_write_raises(self, make_ranks):
         """A rank writes its replicated unit gradient to each peer once
         per iteration."""
