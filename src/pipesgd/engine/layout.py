@@ -1,10 +1,10 @@
 """Byte offsets and notification ids for the training segments.
 
 The layout is built over the engine's transfer units: contiguous layer
-ranges that move as one transfer.  The engine passes one entry per unit -
-under the pipelined schedule, one per layer or a single whole-model entry
-as the compute and link model plans them (``runtime.plan_units``); under
-the barrier baseline, a single whole-model entry.  Every rank registers the
+ranges that move as one transfer.  The engine passes one entry per unit
+as ``runtime.plan`` plans them from the compute and link model - under
+the pipelined schedule one per layer or a single whole-model entry, under
+the barrier baseline a single whole-model entry.  Every rank registers the
 same two segments, each an array of whole-model *slots* laid out as
 [slot][unit]:
 
@@ -26,14 +26,14 @@ same two segments, each an array of whole-model *slots* laid out as
 A receive slot is a single buffer; ``runtime`` gives the argument that no
 range of it is rewritten before it is read.
 
-A *replicated* unit (``runtime`` picks them from the link model) keeps
-its model in slot 0 and its gradient in SEG_WORK, but no data of it
-lands in a reduce-scatter slot or in slot 0: every rank writes its whole
-unit gradient from SEG_WORK to every peer and folds the peers' into it.
-Only when some unit replicates, SEG_RECV gains the *exchange ranges*
-after its slots: one range per iteration parity and sender, ``2N`` of
-them over ``N`` ranks, laid out as [parity][sender][replicated unit].
-A range holds the replicated units alone, not a whole model, so a plan
+A *replicated* unit (``runtime.plan`` picks them from the link model)
+keeps its model in slot 0 and its gradient in SEG_WORK, but no data of
+it lands in a reduce-scatter slot or in slot 0: every rank writes its
+whole unit gradient from SEG_WORK to every peer and folds the peers'
+into it.  Only when some unit replicates, SEG_RECV gains the *exchange
+ranges* after its slots: one range per iteration parity and sender,
+``2N`` of them over ``N`` ranks, laid out as [parity][sender][replicated
+unit].  A range holds the replicated units alone, not a whole model, so a plan
 without them costs no byte.  The parity keeps a fast sender's
 next-iteration data out of the range this rank may still be folding.
 

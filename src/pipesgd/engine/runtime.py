@@ -10,19 +10,19 @@ writes gradients into their segment views, folds and updates run in
 place, and all-gather data leaves from the weights the rank updated and
 lands in the weights the next forward pass reads.  Model and gradient
 move in *transfer units*: contiguous ``[first, stop)`` layer ranges.
-The barrier baseline moves one whole-model unit.  The pipelined
-schedule plans its units from the compute and link model
-(:func:`plan_units`): one unit per layer when the backward compute of
-the next layer can hide one more write, one fence-free whole-model unit
-when it cannot.  A multi-layer unit records its fold, flight and receive
-spans under timeline layer -1.
+One pure function, :func:`plan`, makes every choice the compute and
+link model drive.  The barrier baseline moves one whole-model unit.  The
+pipelined schedule moves one unit per layer when the backward compute
+of the next layer can hide one more write, one fence-free whole-model
+unit when it cannot.  A multi-layer unit records its fold, flight and
+receive spans under timeline layer -1.
 
-Each unit runs one of two collectives, picked from the same link model.
-A unit is *latency-bound* when its serialization on one link is shorter
-than one write's fixed cost (unit bytes x ``per_byte_ns`` <
-``fixed_ns``): hops then cost more than bytes, so it is *replicated*
-and runs a one-hop allreduce.  At zero latency no unit is.  Every other
-unit is *sharded* and runs, in phases:
+:func:`plan` also gives each unit one of two collectives.  A unit is
+*latency-bound* when its serialization on one link is shorter than one
+write's fixed cost (unit bytes x ``per_byte_ns`` < ``fixed_ns``): hops
+then cost more than bytes, so it is *replicated* and runs a one-hop
+allreduce.  At zero latency no unit is.  Every other unit is
+*sharded* and runs, in phases:
 
   * reduce-scatter step j = 0, 1, ...: for each virtual rank v it plays
     whose partner w = v ^ 2**j is played elsewhere, the rank writes the
@@ -162,25 +162,34 @@ _IDLE_SLEEP_S = 2e-5
 _UNIT_COST_NS = 340_000
 
 
-def plan_units(num_layers: int, hide_ns: int, latency: LatencyModel) -> list[tuple[int, int]]:
-    """Contiguous ``[first, stop)`` layer ranges in ascending order.
+class Unit(NamedTuple):
+    """Layers ``[first, stop)`` moved as one transfer, and its collective."""
 
-    Walking down from the top layer, the open unit is closed below a
-    layer only when the backward compute that would hide its write
-    (``hide_ns`` per layer) is at least the cost of one more write: the
-    link's fixed latency plus the engine's per-unit work.  The unit
-    holding layer 0 always closes, since nothing is left to compute
-    behind it.  Every input is shared by all ranks, so they all plan the
-    same units.
+    first: int
+    stop: int
+    replicated: bool
+
+
+def plan(config: TrainConfig, latency: LatencyModel) -> list[Unit]:
+    """The transfer units of ``config``'s schedule in ascending order.
+
+    The barrier baseline moves the whole model as one unit.  The
+    pipelined schedule gives every layer its own unit when the backward
+    compute that would hide a unit's write (``compute_inflation_ns`` per
+    layer) is at least the cost of one more write: the link's fixed
+    latency plus the engine's per-unit work.  That test is the same for
+    every layer, so otherwise the whole model is one unit.  A unit is
+    replicated when its serialization on one link is shorter than one
+    write's fixed cost.  Every input is shared by all ranks, so they all
+    plan the same units.
     """
+    bounds = list(itertools.accumulate((s.param_count for s in config.specs()), initial=0))
+    num_layers = len(bounds) - 1
     write_ns = latency.fixed_ns + _UNIT_COST_NS
-    units = []
-    stop = num_layers
-    for layer in reversed(range(num_layers)):
-        if layer == 0 or hide_ns >= write_ns:
-            units.append((layer, stop))
-            stop = layer
-    return units[::-1]
+    per_layer = config.pattern == "pipelined" and config.compute_inflation_ns >= write_ns
+    spans = [(l, l + 1) for l in range(num_layers)] if per_layer else [(0, num_layers)]
+    item_ns = np.float64().itemsize * latency.per_byte_ns
+    return [Unit(a, b, (bounds[b] - bounds[a]) * item_ns < latency.fixed_ns) for a, b in spans]
 
 
 @dataclass
@@ -195,7 +204,7 @@ class RankResult:
     barrier_calls: int
     fold_counts: list[int]
     wall_ns: int
-    units: list[tuple[int, int]]
+    units: list[Unit]
     events: list[TimelineEvent] = field(default_factory=list)
 
 
@@ -244,7 +253,8 @@ class TurnState:
 
 
 class Rank:
-    """One rank's training loop; ``config.pattern`` picks its units and fences."""
+    """One rank's training loop over the units :func:`plan` gives it;
+    ``config.pattern`` also picks its fences."""
 
     def __init__(
         self,
@@ -266,37 +276,25 @@ class Rank:
         self.events: list[TimelineEvent] | None = [] if record else None
         self.specs = config.specs()
         self.num_layers = len(self.specs)
-        if config.pattern == "pipelined":
-            self.units = plan_units(
-                self.num_layers, config.compute_inflation_ns, transport.latency
-            )
-        else:
-            self.units = [(0, self.num_layers)]
+        self.units = plan(config, transport.latency)
         self._fenced = config.pattern == "barrier"
         # a unit is published when its lowest layer's gradient is emitted
-        self._unit_at = {first: u for u, (first, _) in enumerate(self.units)}
+        self._unit_at = {u.first: i for i, u in enumerate(self.units)}
         # timeline layer index of a unit's spans; -1 marks a multi-layer unit
-        self._labels = [first if stop - first == 1 else -1 for first, stop in self.units]
+        self._labels = [u.first if u.stop - u.first == 1 else -1 for u in self.units]
         self._bounds = bounds = list(
             itertools.accumulate((s.param_count for s in self.specs), initial=0)
         )
-        counts = [bounds[stop] - bounds[first] for first, stop in self.units]
-        # latency-bound units: one write's serialization is shorter than
-        # its fixed cost, so hops, not bytes, set their collective's time
-        lat = transport.latency
-        self.replicated = [
-            n * np.float64().itemsize * lat.per_byte_ns < lat.fixed_ns for n in counts
-        ]
+        counts = [bounds[u.stop] - bounds[u.first] for u in self.units]
+        replicated = [u.replicated for u in self.units]
 
         self.cube = build_hypercube(config.world_size)
         self.steps = self.cube.steps
         self.vranks = [v for v, p in enumerate(self.cube.players) if p == self.rank]
-        self.layout = lay = SegmentLayout(
-            counts, 1 + self.steps, self.replicated, config.world_size
-        )
+        self.layout = lay = SegmentLayout(counts, 1 + self.steps, replicated, config.world_size)
         # exchange channels follow the 2P hypercube channels
         self._exchange_channel = 2 * len(self.cube.players)
-        channels = self._exchange_channel + (2 * config.world_size if any(self.replicated) else 0)
+        channels = self._exchange_channel + (2 * config.world_size if any(replicated) else 0)
         self.seg_work = transport.segment_create(SEG_WORK, lay.size(1), 1)
         self.seg_recv = transport.segment_create(
             SEG_RECV, lay.recv_bytes, lay.notif_count(channels)
@@ -315,9 +313,9 @@ class Rank:
         # started, iteration parity it serves or None for both)
         self._expected: dict[int, tuple[int, int, int | None]] = {}
         # per iteration parity, each unit's phases; a sharded unit's are shared
-        self._plans = tuple(zip(*(
-            self._exchange(unit) if self.replicated[unit] else [self._plan(unit)] * 2
-            for unit in range(len(self.units))
+        self._parity_phases = tuple(zip(*(
+            self._exchange(unit) if u.replicated else [self._sharded(unit)] * 2
+            for unit, u in enumerate(self.units)
         )))
         self._pieces = [
             self._update_pieces(unit, model_region, grad_region) for unit in range(len(self.units))
@@ -330,7 +328,7 @@ class Rank:
 
     # Collective plan ---------------------------------------------------------
 
-    def _plan(self, unit: int) -> list[_Phase]:
+    def _sharded(self, unit: int) -> list[_Phase]:
         """This rank's phases for one unit: reduce-scatter steps 0..d-1,
         the update, then the all-gather.  Empty ranges are neither sent
         nor waited for."""
@@ -453,11 +451,11 @@ class Rank:
         one unit - its shards, or the whole unit if it is replicated - one
         piece per layer a range touches; ``model`` and ``grad`` are the
         whole-model regions."""
-        first, stop = self.units[unit]
+        first, stop, replicated = self.units[unit]
         bounds = self._bounds
         n = self.layout.param_counts[unit]
         spans = (
-            [(0, n)] if self.replicated[unit]
+            [(0, n)] if replicated
             else [shard_range(n, v, self.steps) for v in self.vranks]
         )
         pieces = []
@@ -585,7 +583,7 @@ class Rank:
     def begin_iteration(self, k: int) -> None:
         self.k = k
         self.state = TurnState(len(self.units))
-        self._phases = self._plans[k & 1]
+        self._phases = self._parity_phases[k & 1]
 
     def run_turn(self, layer: int, gradient) -> None:
         """Take one layer's local gradient; start its unit if it is the lowest layer.
@@ -663,7 +661,7 @@ class Rank:
             if channel >= self._exchange_channel:
                 owned = (channel - self._exchange_channel) % self.cfg.world_size == self.rank
                 self._violation(nid, "a range this rank owns" if owned else "for a sharded unit")
-            if self.replicated[unit]:
+            if self.units[unit].replicated:
                 self._violation(nid, "for a replicated unit")
             owned = channel % len(self.cube.players) in self.vranks
             self._violation(nid, "a range this rank owns" if owned else "not from a partner")
@@ -700,7 +698,7 @@ class Rank:
         if not st.local_gradient_ready[unit]:
             return
         phases = self._phases[unit]
-        first, stop = self.units[unit]
+        first, stop, _ = self.units[unit]
         while (p := st.ended[unit]) < len(phases):
             phase = phases[p]
             if st.started[unit] == p:
@@ -726,7 +724,7 @@ class Rank:
     def _dump_state(self) -> str:
         st = self.state
         waiting = []
-        for unit, (first, stop) in enumerate(self.units):
+        for unit, (first, stop, _) in enumerate(self.units):
             layers = f"layers [{first}, {stop})"
             if not st.local_gradient_ready[unit]:
                 waiting.append(f"{layers} local gradient")

@@ -356,7 +356,8 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
             f"{pattern}.wall_clock_ns={report.wall_ns}",
             f"{pattern}.barrier_calls={report.barrier_calls}",
             f"{pattern}.final_loss={results[0].losses[-1]:.6e}",
-            f"{pattern}.units={results[0].units}",
+            f"{pattern}.units={[(u.first, u.stop) for u in results[0].units]}",
+            f"{pattern}.replicated={[u.replicated for u in results[0].units]}",
         ] + [f"{pattern}.{line}" for line in metrics.lines()]
         metric_lines.extend(lines)
         for line in lines:

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from pipesgd.engine import runtime
+
 _TRANSPORT_THREADS = ("inproc-link-", "tcp-send-", "tcp-recv-")
 _LEAK_GRACE_S = 1.0
 
@@ -51,3 +53,22 @@ def no_leaked_rank_processes():
         child.join(timeout=5)
     if leaked:
         pytest.fail(f"rank processes left running: {', '.join(map(str, leaked))}")
+
+
+@pytest.fixture
+def force_plan(monkeypatch):
+    """Make ``runtime.plan`` give the pipelined schedule a complete plan.
+
+    The barrier baseline keeps the plan it would get, so its fences
+    still fall around one whole-model unit.  Forked tcp ranks inherit the
+    patch.
+    """
+    planned = runtime.plan
+
+    def force(units):
+        def forced(config, latency):
+            return list(units) if config.pattern == "pipelined" else planned(config, latency)
+
+        monkeypatch.setattr(runtime, "plan", forced)
+
+    return force

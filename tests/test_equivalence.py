@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pipesgd import net
-from pipesgd.engine import TrainConfig, runtime, sequential_sgd
+from pipesgd.engine import TrainConfig, sequential_sgd
+from pipesgd.engine.runtime import Unit
 from pipesgd.harness import run_inproc, run_tcp, verify_against_reference
 from pipesgd.transport import LatencyModel
 
@@ -33,24 +34,37 @@ def assert_bit_identical(results, reference):
             )
 
 
+def shaped(spans, replicated):
+    return [Unit(first, stop, replicated) for first, stop in spans]
+
+
+PER_LAYER = [(0, 1), (1, 2), (2, 3)]
 # per-layer units over dims 5-7-400-3 at 300 us + 20 ns/B: 336 B, 25.6 KB
 # and 9.6 KB, so the first and last replicate and the middle one does not
-ALTERNATING_PLAN = [(0, 1), (1, 2), (2, 3)]
+ALTERNATING_PLAN = [Unit(0, 1, True), Unit(1, 2, False), Unit(2, 3, True)]
 ALTERNATING_LATENCY = LatencyModel(fixed_ns=300_000, per_byte_ns=20.0)
 
 
-def assert_alternating_plan_matches(monkeypatch, launcher, world_size):
-    # forked tcp children inherit the patched planner
-    monkeypatch.setattr(runtime, "plan_units", lambda *_args: ALTERNATING_PLAN)
+def assert_fold_counts(results, plan, iterations):
+    """A replicated layer folds once per peer and iteration, a sharded one
+    once per hypercube step where no rank plays extra virtual ranks."""
+    world_size = len(results)
+    steps = (world_size - 1).bit_length()
+    for result in results:
+        for unit in plan:
+            for layer in range(unit.first, unit.stop):
+                if unit.replicated:
+                    assert result.fold_counts[layer] == (world_size - 1) * iterations
+                elif world_size & (world_size - 1) == 0:
+                    assert result.fold_counts[layer] == steps * iterations
+
+
+def assert_alternating_plan_matches(force_plan, launcher, world_size):
+    force_plan(ALTERNATING_PLAN)
     cfg, ds = make_problem(world_size, layer_dims=(5, 7, 400, 3), iterations=3)
     results = launcher(cfg, ds, latency=ALTERNATING_LATENCY)
     assert_bit_identical(results, sequential_sgd(cfg, ds))
-    # a replicated layer folds once per peer, a sharded one once per step
-    steps = (world_size - 1).bit_length()
-    if world_size & (world_size - 1) == 0:  # no rank plays extra virtual ranks
-        per_iter = [world_size - 1, steps, world_size - 1]
-        for result in results:
-            assert result.fold_counts == [n * cfg.iterations for n in per_iter]
+    assert_fold_counts(results, ALTERNATING_PLAN, cfg.iterations)
 
 
 class TestInproc:
@@ -69,20 +83,28 @@ class TestInproc:
         jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=500_000, per_byte_ns=5.0))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
 
-    def test_latency_with_units_smaller_than_the_hypercube(self, monkeypatch):
-        """Per-layer units over 8 ranks: the 2-parameter top layer has
-        6 empty shards, which the all-gather neither sends nor waits
-        for."""
-        monkeypatch.setattr(runtime, "plan_units", lambda *_args: [(0, 1), (1, 2), (2, 3)])
+    def test_latency_with_units_smaller_than_the_hypercube(self, force_plan):
+        """Per-layer units over 8 ranks under 100 us of fixed latency and
+        no per-byte cost, so every unit replicates: each rank folds the
+        2-parameter top layer of 7 peers."""
+        force_plan(shaped(PER_LAYER, True))
+        cfg, ds = make_problem(8, layer_dims=(3, 4, 1, 1), iterations=3)
+        jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=100_000))
+        assert_bit_identical(jittered, sequential_sgd(cfg, ds))
+
+    def test_latency_with_empty_shards(self, force_plan):
+        """The same units sharded: the 2-parameter top layer has 6 empty
+        shards, which the all-gather neither sends nor waits for."""
+        force_plan(shaped(PER_LAYER, False))
         cfg, ds = make_problem(8, layer_dims=(3, 4, 1, 1), iterations=3)
         jittered = run_inproc(cfg, ds, latency=LatencyModel(fixed_ns=100_000))
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
 
     @pytest.mark.parametrize("world_size", [2, 3, 4, 6, 8])
-    def test_replicated_and_sharded_units_alternate(self, monkeypatch, world_size):
+    def test_replicated_and_sharded_units_alternate(self, force_plan, world_size):
         """Per-layer units at 300 us + 20 ns/B: the 336-byte and 9.6 KB
         layers replicate, the 25.6 KB one between them stays sharded."""
-        assert_alternating_plan_matches(monkeypatch, run_inproc, world_size)
+        assert_alternating_plan_matches(force_plan, run_inproc, world_size)
 
     def test_patterns_agree_with_each_other(self):
         cfg, ds = make_problem(4)
@@ -130,28 +152,44 @@ class TestTcp:
         assert_bit_identical(jittered, sequential_sgd(cfg, ds))
 
     @pytest.mark.parametrize("world_size", [3, 4])
-    def test_replicated_and_sharded_units_alternate(self, monkeypatch, world_size):
-        assert_alternating_plan_matches(monkeypatch, run_tcp, world_size)
+    def test_replicated_and_sharded_units_alternate(self, force_plan, world_size):
+        assert_alternating_plan_matches(force_plan, run_tcp, world_size)
 
 
 class TestMixedUnits:
     """Units of several layers that are not the whole model: the planner
     never makes them from one inflation value, so the plan is forced."""
 
-    @pytest.mark.parametrize("plan", [[(0, 2), (2, 3)], [(0, 1), (1, 3)], [(0, 1), (1, 2), (2, 3)]])
+    @pytest.mark.parametrize("plan", [
+        shaped([(0, 2), (2, 3)], False), shaped([(0, 1), (1, 3)], False), shaped(PER_LAYER, False),
+    ])
     @pytest.mark.parametrize("world_size", [2, 3, 4])
     @pytest.mark.parametrize("launcher", [run_inproc, run_tcp], ids=["inproc", "tcp"])
-    def test_forced_plan_matches_reference(self, monkeypatch, launcher, world_size, plan):
-        # forked tcp children inherit the patched planner
-        monkeypatch.setattr(runtime, "plan_units", lambda *_args: plan)
+    def test_forced_plan_matches_reference(self, force_plan, launcher, world_size, plan):
+        force_plan(plan)
         cfg, ds = make_problem(world_size, layer_dims=(6, 9, 7, 5), iterations=4)
         results = launcher(cfg, ds, record=True)
         assert_bit_identical(results, sequential_sgd(cfg, ds))
-        labels = [first if stop - first == 1 else -1 for first, stop in plan]
+        labels = [u.first if u.stop - u.first == 1 else -1 for u in plan]
         for result in results:
             assert result.units == plan
             folds = {e.layer for e in result.events if e.kind == "reduce_local"}
             assert folds <= set(labels)
+
+    @pytest.mark.parametrize("plan", [
+        [Unit(0, 1, True), Unit(1, 3, False)], [Unit(0, 2, False), Unit(2, 3, True)],
+    ], ids=["replicated-first", "sharded-first"])
+    @pytest.mark.parametrize("world_size", [2, 3, 4])
+    @pytest.mark.parametrize("launcher", [run_inproc, run_tcp], ids=["inproc", "tcp"])
+    def test_mixed_shapes_on_a_free_link(self, force_plan, launcher, world_size, plan):
+        """Both shapes in one plan over links with no latency, where the
+        planner never replicates a unit."""
+        force_plan(plan)
+        cfg, ds = make_problem(world_size, layer_dims=(6, 9, 7, 5), iterations=4)
+        results = launcher(cfg, ds)
+        assert_bit_identical(results, sequential_sgd(cfg, ds))
+        assert all(result.units == plan for result in results)
+        assert_fold_counts(results, plan, cfg.iterations)
 
 
 class TestBarrierCounts:
@@ -182,10 +220,10 @@ class TestHypercube:
 
     @pytest.mark.parametrize("world_size", range(1, 17))
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
-    def test_every_world_size_matches_reference(self, monkeypatch, pattern, world_size):
+    def test_every_world_size_matches_reference(self, force_plan, pattern, world_size):
         # per-layer units when pipelined: the 2-parameter top layer then
         # moves alone, and most of its shards are empty
-        monkeypatch.setattr(runtime, "plan_units", lambda *_args: [(0, 1), (1, 2), (2, 3)])
+        force_plan(shaped(PER_LAYER, False))
         cfg = TrainConfig(
             layer_dims=(3, 4, 1, 1), world_size=world_size, iterations=3,
             batch_size=world_size, dataset_size=32, seed=23, pattern=pattern,
@@ -197,12 +235,12 @@ class TestHypercube:
     @pytest.mark.parametrize("world_size", range(1, 17))
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
     def test_every_world_size_matches_reference_replicated(
-        self, monkeypatch, pattern, world_size
+        self, force_plan, pattern, world_size
     ):
         """The same runs with 50 us of fixed link latency and no per-byte
         cost, so every unit replicates: each rank folds every peer's
         whole unit in tree_reduce's order, with no virtual ranks."""
-        monkeypatch.setattr(runtime, "plan_units", lambda *_args: [(0, 1), (1, 2), (2, 3)])
+        force_plan(shaped(PER_LAYER, True))
         cfg = TrainConfig(
             layer_dims=(3, 4, 1, 1), world_size=world_size, iterations=3,
             batch_size=world_size, dataset_size=32, seed=23, pattern=pattern,

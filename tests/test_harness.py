@@ -432,14 +432,22 @@ class TestRunBenchmark:
         assert "pipelined.overlap_ratio=" in out
 
     def test_prints_the_unit_plan_that_ran(self, capsys):
-        """Backward compute that can hide a write gives one unit per layer."""
+        """Backward compute that can hide a write gives one unit per layer;
+        each unit's shape follows on the next line.  At 1 us + 5 ns/B the
+        240-byte layer 0 stays sharded and the 168-byte layer 1
+        replicates; the barrier's 408-byte unit stays sharded."""
         run_benchmark(BenchOptions(
             config=small_config(compute_inflation_ns=1_000_000),
             patterns=("pipelined", "barrier"),
+            latency=LatencyModel(fixed_ns=1_000, per_byte_ns=5.0),
         ))
-        out = capsys.readouterr().out
-        assert "pipelined.units=[(0, 1), (1, 2)]" in out
-        assert "barrier.units=[(0, 2)]" in out
+        lines = capsys.readouterr().out.splitlines()
+        for pattern, units, replicated in [
+            ("pipelined", "[(0, 1), (1, 2)]", "[False, True]"),
+            ("barrier", "[(0, 2)]", "[False]"),
+        ]:
+            at = lines.index(f"{pattern}.units={units}")
+            assert lines[at + 1] == f"{pattern}.replicated={replicated}"
 
     def test_both_patterns_emit_wall_ratio(self, capsys):
         reports = run_benchmark(
