@@ -952,14 +952,14 @@ MULTI_LAYER_PLANS = [[Unit(a, b, False) for a, b in spans] for spans in MULTI_LA
 # shapes its latency gives: at 50 us every unit replicates; at 8 us +
 # 20 ns/B those under 400 bytes do, (0, 1) and (2, 3) but not (1, 3),
 # (0, 2) or the whole model.
+PER_BYTE = LatencyModel(fixed_ns=8_000, per_byte_ns=20.0)
 LATENCY_BOUND = [
-    *(([Unit(a, b, True) for a, b in spans], LatencyModel(fixed_ns=50_000))
-      for spans in MULTI_LAYER_SPANS),
-    *((plan, LatencyModel(fixed_ns=8_000, per_byte_ns=20.0)) for plan in [
-        [Unit(0, 2, False), Unit(2, 3, True)],
-        [Unit(0, 1, True), Unit(1, 3, False)],
-        [Unit(0, 3, False)],
-    ]),
+    ([Unit(a, b, True) for a, b in spans], LatencyModel(fixed_ns=50_000))
+    for spans in MULTI_LAYER_SPANS
+] + [
+    ([Unit(0, 2, False), Unit(2, 3, True)], PER_BYTE),
+    ([Unit(0, 1, True), Unit(1, 3, False)], PER_BYTE),
+    ([Unit(0, 3, False)], PER_BYTE),
 ]
 
 
