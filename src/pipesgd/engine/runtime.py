@@ -163,7 +163,8 @@ _UNIT_COST_NS = 340_000
 
 
 class Unit(NamedTuple):
-    """Layers ``[first, stop)`` moved as one transfer, and its collective."""
+    """Layers ``[first, stop)`` moved as one transfer; ``replicated``
+    picks the one-hop allreduce over the sharded collective."""
 
     first: int
     stop: int
