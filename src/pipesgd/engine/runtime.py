@@ -139,15 +139,13 @@ import numpy as np
 
 from .. import net
 from ..buffers import buffer_add
-from ..errors import ConfigError, ProtocolError
+from ..errors import ConfigError, ProtocolError, ShapeError
 from ..timeline import TimelineEvent
 from ..topology import build_hypercube, build_reduction_tree, shard_range
-from ..transport.base import LatencyModel, TransportBase, WriteRequest
+from ..transport.base import IDLE_SLEEP_S, LatencyModel, TransportBase, WriteRequest
 from .config import TrainConfig
 from .layout import SEG_RECV, SEG_WORK, SegmentLayout
 from .sgd import apply_update, batch_indices, shard_bounds
-
-_IDLE_SLEEP_S = 2e-5
 
 # Engine work one more transfer unit adds per iteration: its fold, notify
 # polls, master update call and write call.  Measured on rank 0 with
@@ -255,12 +253,20 @@ class TurnState:
 
 class Rank:
     """One rank's training loop over the units :func:`plan` gives it;
-    ``config.pattern`` also picks its fences."""
+    ``config.pattern`` also picks its fences.
+
+    ``start`` holds the start weights, one flat array per layer.  Like
+    ``dataset`` they are a launch input: the launcher builds them once per
+    launch with ``net.init_model(config.seed, config.specs())``, marks
+    them read-only and hands the same arrays to every rank, which copies
+    them into slot 0, its live model.
+    """
 
     def __init__(
         self,
         config: TrainConfig,
         dataset,
+        start: list[np.ndarray],
         transport: TransportBase,
         record: bool = False,
     ):
@@ -277,6 +283,9 @@ class Rank:
         self.events: list[TimelineEvent] | None = [] if record else None
         self.specs = config.specs()
         self.num_layers = len(self.specs)
+        sizes = [np.size(layer) for layer in start]
+        if sizes != [s.param_count for s in self.specs]:
+            raise ShapeError(f"start weights of {sizes} values per layer do not fit the config")
         self.units = plan(config, transport.latency)
         self._fenced = config.pattern == "barrier"
         # a unit is published when its lowest layer's gradient is emitted
@@ -306,9 +315,8 @@ class Rank:
         self.model_views = [model_region[a:b] for a, b in zip(bounds, bounds[1:])]
         self.grad_views = [grad_region[a:b] for a, b in zip(bounds, bounds[1:])]
 
-        start = net.init_model(config.seed, self.specs)
-        for l in range(self.num_layers):
-            self.model_views[l][:] = start.layers[l]
+        for view, layer in zip(self.model_views, start):
+            view[:] = layer
 
         # expected notification id -> (unit, phases this rank must have
         # started, iteration parity it serves or None for both)
@@ -527,7 +535,7 @@ class Rank:
         self._device_ns += self.cfg.compute_inflation_ns
         while (left_ns := self._device_ns - time.monotonic_ns()) > 0:
             if not self._comm_pass():
-                time.sleep(min(_IDLE_SLEEP_S, left_ns * 1e-9))
+                time.sleep(min(IDLE_SLEEP_S, left_ns * 1e-9))
 
     # Run loop ----------------------------------------------------------------
 
@@ -621,7 +629,7 @@ class Rank:
                     f"finishing iteration {self.k}: {self._dump_state()}"
                 )
             else:
-                time.sleep(_IDLE_SLEEP_S)
+                time.sleep(IDLE_SLEEP_S)
         self._record("finalize", -1, t0, time.monotonic_ns())
 
     def _fence(self) -> None:

@@ -8,6 +8,9 @@ Two launchers share every bit of engine code; LAUNCHERS names them by transport:
               and each forked child sends its RankResult back over a queue,
               then holds its mesh open until the launcher releases it.
 
+Each launcher builds the start weights once per launch (start_model) and
+hands the same read-only arrays to every rank, as it does the dataset.
+
 run_benchmark drives one or both patterns over one dataset, verifies
 against the single-process reference optimizer on request, and reports
 wall clock, overlap, and barrier statistics.
@@ -25,7 +28,10 @@ import time
 import traceback
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import net
+from .buffers import Model
 from .engine.checkpoint import save_model
 from .engine.config import TrainConfig
 from .engine.runtime import Rank, RankResult
@@ -51,6 +57,15 @@ def dataset_sha256(dataset: net.Dataset) -> str:
     return h.hexdigest()
 
 
+def start_model(config: TrainConfig) -> list[np.ndarray]:
+    """The start weights of every rank of one launch, one read-only array
+    per layer: each rank copies them into its live model."""
+    layers = net.init_model(config.seed, config.specs()).layers
+    for layer in layers:
+        layer.flags.writeable = False
+    return layers
+
+
 # -- in-process launcher -----------------------------------------------------
 
 
@@ -63,6 +78,7 @@ def run_inproc(
     """All ranks as threads of this process; returns results by rank."""
     import threading
 
+    start = start_model(config)
     world = InprocWorld(config.world_size, latency)
     results: list[RankResult | None] = [None] * config.world_size
     failures: list[tuple[int, BaseException]] = []
@@ -70,7 +86,7 @@ def run_inproc(
     def body(rank: int) -> None:
         try:
             transport = world.transport(rank)
-            results[rank] = Rank(config, dataset, transport, record).run()
+            results[rank] = Rank(config, dataset, start, transport, record).run()
         except BaseException as exc:  # noqa: BLE001 - reported to the caller below
             failures.append((rank, exc))
             world.abort_barrier()
@@ -99,6 +115,7 @@ def _tcp_child(
     rank: int,
     config: TrainConfig,
     dataset: net.Dataset,
+    start: list[np.ndarray],
     latency: LatencyModel | None,
     record: bool,
     listeners: list[socket.socket],
@@ -115,7 +132,7 @@ def _tcp_child(
             if r != rank:
                 listener.close()
         transport = TcpTransport(rank, config.world_size, listeners[rank], addresses, latency)
-        result_queue.put((rank, Rank(config, dataset, transport, record).run()))
+        result_queue.put((rank, Rank(config, dataset, start, transport, record).run()))
         # a peer that sees this mesh close fails, so hold it open until the
         # launcher closes its end: it has every report, it failed, or it died
         hold_end.poll(None)
@@ -173,11 +190,12 @@ def run_tcp(
 ) -> list[RankResult]:
     """One process per rank over a localhost TCP mesh; rank 0 runs here.
 
-    Every rank's listener is bound here before the fork, so each forked
-    child inherits its listener and the full address list, and the dataset
-    bytes without any serialization; each child sends its RankResult back
-    over a queue, then blocks on a one-way pipe whose write end only this
-    process keeps.  Closing that end releases them all once every report
+    Every rank's listener is bound and the start weights are built here
+    before the fork, so each forked child inherits its listener, the full
+    address list, the dataset and the start weights without any
+    serialization; each child sends its RankResult back over a queue,
+    then blocks on a one-way pipe whose write end only this process
+    keeps.  Closing that end releases them all once every report
     is in, or at once on a failure; a dead launcher releases them too.  A
     failure is raised as ``rank N failed: ...`` for the rank that caused
     it: a child's own traceback, or its exit code when it died without a
@@ -194,7 +212,10 @@ def run_tcp(
         for _ in range(world):
             listeners.append(bind_listener())
         addresses = [listener.getsockname()[:2] for listener in listeners]
-        shared = (config, dataset, latency, record, listeners, addresses, result_queue, hold)
+        start = start_model(config)
+        shared = (
+            config, dataset, start, latency, record, listeners, addresses, result_queue, hold
+        )
         for r in range(1, world):
             child = ctx.Process(target=_tcp_child, args=(r, *shared), daemon=True)
             child.start()
@@ -203,7 +224,7 @@ def run_tcp(
             listener.close()
         transport = TcpTransport(0, world, listeners[0], addresses, latency)
         try:
-            results = [Rank(config, dataset, transport, record).run()]
+            results = [Rank(config, dataset, start, transport, record).run()]
         except Exception as exc:
             # rank 0 learns of a failed child only when its sockets close: a
             # reporting child flushed its report before closing them, and a
@@ -297,11 +318,9 @@ def _pattern_path(path: str, pattern: str, multiple: bool) -> str:
     return f"{stem}.{pattern}{ext}"
 
 
-def verify_against_reference(
-    config: TrainConfig, dataset: net.Dataset, results: list[RankResult]
-) -> None:
-    """Every rank's final model must match the reference run bit for bit."""
-    reference = sequential_sgd(config, dataset)
+def verify_against_reference(reference: Model, results: list[RankResult]) -> None:
+    """Every rank's final model must match the reference run's
+    (:func:`.engine.sgd.sequential_sgd`) bit for bit."""
     for result in results:
         if len(result.model) != len(reference.layers):
             raise VerificationError(
@@ -340,6 +359,8 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
     sha = dataset_sha256(dataset)
     out = print if not options.quiet else (lambda *_args, **_kw: None)
 
+    # the reference run never reads the pattern, so one serves every pattern
+    reference = sequential_sgd(config, dataset) if options.verify_oracle else None
     reports: dict[str, BenchReport] = {}
     metric_lines: list[str] = [f"dataset_sha256={sha}"]
     for pattern in options.patterns:
@@ -349,8 +370,8 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
         metrics = compute_overlap(events)
         report = BenchReport(pattern, results, metrics, sha)
         reports[pattern] = report
-        if options.verify_oracle:
-            verify_against_reference(cfg, dataset, results)
+        if reference is not None:
+            verify_against_reference(reference, results)
             out(f"{pattern}: verified bit-identical to the reference optimizer")
         lines = [
             f"{pattern}.wall_clock_ns={report.wall_ns}",

@@ -32,7 +32,6 @@ from . import base, wire
 from .base import CONTROL_SEGMENT, LatencyModel, Segment, TransportBase, WriteRequest
 
 _CONNECT_TIMEOUT = 30.0
-_POLL_SLEEP = 2e-5
 
 
 def _recv_into(sock: socket.socket, buf) -> bool:
@@ -214,7 +213,7 @@ class TcpTransport(TransportBase):
                 self._check_failed()
                 if time.monotonic() > deadline:
                     raise TransportError(f"barrier timed out after {base.BARRIER_TIMEOUT_S} s")
-                time.sleep(_POLL_SLEEP)
+                time.sleep(base.IDLE_SLEEP_S)
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

@@ -121,7 +121,7 @@ class TestInproc:
 
     def test_verify_helper_accepts_good_run(self):
         cfg, ds = make_problem(2, iterations=2)
-        verify_against_reference(cfg, ds, run_inproc(cfg, ds))
+        verify_against_reference(sequential_sgd(cfg, ds), run_inproc(cfg, ds))
 
     def test_losses_match_reference_shards(self):
         """Per-iteration rank-0 losses agree exactly with the reference."""

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from pipesgd import harness, net
-from pipesgd.engine import Rank, TrainConfig, load_model, serialize_model
+from pipesgd.engine import Rank, TrainConfig, load_model, sequential_sgd, serialize_model
 from pipesgd.engine.layout import SEG_RECV
-from pipesgd.errors import ConfigError, TransportError, VerificationError
+from pipesgd.errors import ConfigError, ShapeError, TransportError, VerificationError
 from pipesgd.harness import (
     BenchOptions,
     BenchReport,
@@ -81,7 +81,7 @@ class TestVerification:
         results = run_inproc(cfg, ds)
         results[1].model[0][3] += 1e-9
         with pytest.raises(VerificationError, match="diverges"):
-            verify_against_reference(cfg, ds, results)
+            verify_against_reference(sequential_sgd(cfg, ds), results)
 
     def test_detects_missing_layer(self):
         cfg = small_config()
@@ -89,7 +89,67 @@ class TestVerification:
         results = run_inproc(cfg, ds)
         results[0].model.pop()
         with pytest.raises(VerificationError, match="layers"):
-            verify_against_reference(cfg, ds, results)
+            verify_against_reference(sequential_sgd(cfg, ds), results)
+
+
+class TestStartModel:
+    @staticmethod
+    def count_init_model(monkeypatch):
+        """Make ``net.init_model`` log its calls, and raise in any process
+        but this one: a forked rank that builds its own start weights
+        fails its launch."""
+        launcher = os.getpid()
+        calls = []
+        init_model = net.init_model
+
+        def counted(seed, specs):
+            if os.getpid() != launcher:
+                raise RuntimeError(f"init_model called in pid {os.getpid()}")
+            calls.append(seed)
+            return init_model(seed, specs)
+
+        monkeypatch.setattr(net, "init_model", counted)
+        return calls
+
+    @pytest.mark.parametrize("launch", [run_inproc, run_tcp])
+    def test_built_once_per_launch_by_the_launcher(self, monkeypatch, launch):
+        cfg = small_config(world_size=4)
+        ds = build_dataset(cfg)  # the teacher model is not a start model
+        calls = self.count_init_model(monkeypatch)
+        results = launch(cfg, ds)
+        assert calls == [cfg.seed]
+        verify_against_reference(sequential_sgd(cfg, ds), results)
+
+    def test_ranks_get_read_only_start_arrays(self, monkeypatch):
+        """Every rank of a launch gets the same arrays, and a write into
+        them raises; the ranks train on their own copies."""
+        cfg = small_config(world_size=4)
+        ds = build_dataset(cfg)
+        handed = []
+        init = Rank.__init__
+
+        def record(rank, config, dataset, start, *args, **kwargs):
+            handed.append(start)
+            init(rank, config, dataset, start, *args, **kwargs)
+
+        monkeypatch.setattr(Rank, "__init__", record)
+        run_inproc(cfg, ds)
+        assert len(handed) == 4
+        assert all(start is handed[0] for start in handed)
+        for layer, want in zip(handed[0], net.init_model(cfg.seed, cfg.specs()).layers):
+            assert layer.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                layer[0] = 1.0
+
+    def test_start_weights_must_fit_the_config(self):
+        cfg = small_config(world_size=1)
+        start = harness.start_model(small_config(layer_dims=(4, 5, 3)))
+        world = InprocWorld(1)
+        try:
+            with pytest.raises(ShapeError, match="start weights"):
+                Rank(cfg, build_dataset(cfg), start, world.transport(0))
+        finally:
+            world.close()
 
 
 def crash_at(monkeypatch, rank, iteration):
@@ -407,7 +467,7 @@ class TestFlightSpans:
         (finalize,) = [e for e in events if e.kind == "finalize"]
         (flight,) = [e for e in events if e.kind == "model_forward"]
         assert finalize.t_end_ns < flight.t_end_ns
-        verify_against_reference(cfg, ds, results)
+        verify_against_reference(sequential_sgd(cfg, ds), results)
 
 
 class TestRunBenchmark:
@@ -448,6 +508,22 @@ class TestRunBenchmark:
         ]:
             at = lines.index(f"{pattern}.units={units}")
             assert lines[at + 1] == f"{pattern}.replicated={replicated}"
+
+    def test_one_reference_run_verifies_both_patterns(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(config, dataset):
+            calls.append(config.pattern)
+            return sequential_sgd(config, dataset)
+
+        monkeypatch.setattr(harness, "sequential_sgd", counted)
+        run_benchmark(BenchOptions(
+            config=small_config(), patterns=("pipelined", "barrier"), verify_oracle=True
+        ))
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        for pattern in ("pipelined", "barrier"):
+            assert f"{pattern}: verified bit-identical to the reference optimizer" in out
 
     def test_both_patterns_emit_wall_ratio(self, capsys):
         reports = run_benchmark(

@@ -22,7 +22,7 @@ from pipesgd.engine import (
 from pipesgd.engine.runtime import Unit
 from pipesgd.errors import ProtocolError
 from pipesgd.topology import build_reduction_tree, shard_range
-from pipesgd.harness import run_inproc
+from pipesgd.harness import run_inproc, start_model
 from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
 
 
@@ -39,7 +39,8 @@ def make_ranks():
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(world_size, latency)
         worlds.append(world)
-        ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]
+        start = start_model(cfg)
+        ranks = [Rank(cfg, ds, start, world.transport(r)) for r in range(world_size)]
         return cfg, ds, ranks
 
     yield build
@@ -92,7 +93,7 @@ class TestSingleRank:
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(1)
         tr = CountingTransport(world.transport(0))
-        result = Rank(cfg, ds, tr).run()
+        result = Rank(cfg, ds, start_model(cfg), tr).run()
         world.close()
         assert tr.writes == 0
         assert tr.polls == 0
@@ -549,7 +550,7 @@ class TestReceiveSegment:
         world = InprocWorld(4)
         try:
             tr = CountingTransport(world.transport(2))
-            r2 = Rank(cfg, ds, tr)
+            r2 = Rank(cfg, ds, start_model(cfg), tr)
             r2.begin_iteration(0)
             r2._comm_pass()
             assert tr.polls == 1
@@ -1006,8 +1007,9 @@ class TestDeliveryOrders:
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(world_size, latency)
         try:
+            start = start_model(cfg)
             with patch.object(runtime, "plan", lambda *_args: plan):
-                ranks = [Rank(cfg, ds, world.transport(r)) for r in range(world_size)]
+                ranks = [Rank(cfg, ds, start, world.transport(r)) for r in range(world_size)]
             scripted = [ScriptedRank(r, cfg.iterations) for r in ranks]
             rnd = random.Random(seed)
             while not all(s.finished for s in scripted):

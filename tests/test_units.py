@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from pipesgd import net
 from pipesgd.engine import Rank, TrainConfig, runtime
 from pipesgd.engine.runtime import _UNIT_COST_NS, Unit, plan
+from pipesgd.harness import start_model
 from pipesgd.transport import InprocWorld, LatencyModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +92,8 @@ class TestPlanUnits:
         ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
         world = InprocWorld(cfg.world_size, latency)
         try:
-            plans = [Rank(cfg, ds, world.transport(r)).units for r in range(cfg.world_size)]
+            start = start_model(cfg)
+            plans = [Rank(cfg, ds, start, world.transport(r)).units for r in range(cfg.world_size)]
         finally:
             world.close()
         assert all(p == plan(cfg, latency or ZERO) for p in plans)
@@ -166,7 +168,7 @@ class TestBenchmarkPlans:
             cfg = w.config(seed=1).replace(pattern=pattern)
             world = InprocWorld(cfg.world_size, w.latency)
             try:
-                rank = Rank(cfg, w.dataset(cfg), world.transport(0))
+                rank = Rank(cfg, w.dataset(cfg), start_model(cfg), world.transport(0))
             finally:
                 world.close()
             assert rank.units == BENCHMARK_PLANS[w.name, pattern], w.name
