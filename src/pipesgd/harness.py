@@ -213,9 +213,7 @@ def run_tcp(
             listeners.append(bind_listener())
         addresses = [listener.getsockname()[:2] for listener in listeners]
         start = start_model(config)
-        shared = (
-            config, dataset, start, latency, record, listeners, addresses, result_queue, hold
-        )
+        shared = (config, dataset, start, latency, record, listeners, addresses, result_queue, hold)
         for r in range(1, world):
             child = ctx.Process(target=_tcp_child, args=(r, *shared), daemon=True)
             child.start()

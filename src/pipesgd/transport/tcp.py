@@ -146,9 +146,10 @@ class TcpTransport(TransportBase):
                 seg = self.segment(fh.dest_segment)
                 seg.check_range(fh.dest_offset, fh.payload_size)
                 dest = seg.data[fh.dest_offset : fh.dest_offset + fh.payload_size]
-                # the flight starts when the header arrives, about when the
-                # sender posted the frame and timed the same flight, not
-                # after the payload's transfer
+                # the flight starts when the header arrives, not after the
+                # payload's transfer; that is later than the sender timed
+                # the same flight by the header's delivery time (README,
+                # "Transport model")
                 visible_at = self.latency.flight_end(fh.payload_size, visible_at)
                 if not _recv_into(sock, dest):
                     raise TransportError("connection closed before payload")
