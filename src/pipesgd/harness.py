@@ -5,8 +5,10 @@ Two launchers share every bit of engine code; LAUNCHERS names them by transport:
   run_inproc  one thread per rank over the in-process transport,
   run_tcp     one process per rank over the TCP mesh; every listener is
               bound before the fork, rank 0 runs in the calling process,
-              and each forked child sends its RankResult back over a queue,
-              then holds its mesh open until the launcher releases it.
+              and each forked child copies its final model into its slot
+              of one shared mapping, sends the rest of its RankResult back
+              over a queue, then holds its mesh open until the launcher
+              releases it.
 
 Each launcher builds the start weights once per launch (start_model) and
 hands the same read-only arrays to every rank, as it does the dataset.
@@ -19,6 +21,7 @@ wall clock, overlap, and barrier statistics.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -111,6 +114,14 @@ def run_inproc(
 # -- TCP launcher -------------------------------------------------------------
 
 
+def _slot(mapping: mmap.mmap, rank: int, start: list[np.ndarray]) -> list[np.ndarray]:
+    """Rank ``rank``'s final model in ``mapping``: one view per layer,
+    sized like the start weights."""
+    bounds = np.cumsum([0] + [layer.size for layer in start])
+    flat = np.frombuffer(mapping, np.float64, bounds[-1], rank * bounds[-1] * 8)
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _tcp_child(
     rank: int,
     config: TrainConfig,
@@ -120,6 +131,7 @@ def _tcp_child(
     record: bool,
     listeners: list[socket.socket],
     addresses: list[tuple[str, int]],
+    models: mmap.mmap,
     result_queue,
     hold,
 ) -> None:
@@ -132,7 +144,13 @@ def _tcp_child(
             if r != rank:
                 listener.close()
         transport = TcpTransport(rank, config.world_size, listeners[rank], addresses, latency)
-        result_queue.put((rank, Rank(config, dataset, start, transport, record).run()))
+        result = Rank(config, dataset, start, transport, record).run()
+        for view, layer in zip(_slot(models, rank, start), result.model):
+            view[:] = layer
+        # the report follows the slot write down the queue's pipe, so the
+        # launcher reads the model only after it is complete
+        result.model = []
+        result_queue.put((rank, result))
         # a peer that sees this mesh close fails, so hold it open until the
         # launcher closes its end: it has every report, it failed, or it died
         hold_end.poll(None)
@@ -190,10 +208,14 @@ def run_tcp(
 ) -> list[RankResult]:
     """One process per rank over a localhost TCP mesh; rank 0 runs here.
 
-    Every rank's listener is bound and the start weights are built here
-    before the fork, so each forked child inherits its listener, the full
-    address list, the dataset and the start weights without any
-    serialization; each child sends its RankResult back over a queue,
+    Every rank's listener is bound, the start weights are built and one
+    shared anonymous mapping with a flat float64 slot per rank is made
+    here before the fork, so each forked child inherits its listener, the
+    full address list, the dataset, the start weights and the mapping
+    without any serialization.  Each child copies its final model into
+    its slot and sends the rest of its RankResult back over a queue; a
+    child's returned ``model`` is a list of per-layer views into its
+    slot, and the mapping is freed with the last of them.  Each child
     then blocks on a one-way pipe whose write end only this process
     keeps.  Closing that end releases them all once every report
     is in, or at once on a failure; a dead launcher releases them too.  A
@@ -213,7 +235,12 @@ def run_tcp(
             listeners.append(bind_listener())
         addresses = [listener.getsockname()[:2] for listener in listeners]
         start = start_model(config)
-        shared = (config, dataset, start, latency, record, listeners, addresses, result_queue, hold)
+        # rank 0's slot is never touched, so it costs no memory
+        models = mmap.mmap(-1, world * sum(layer.nbytes for layer in start))
+        shared = (
+            config, dataset, start, latency, record, listeners, addresses, models, result_queue,
+            hold,
+        )
         for r in range(1, world):
             child = ctx.Process(target=_tcp_child, args=(r, *shared), daemon=True)
             child.start()
@@ -245,6 +272,8 @@ def run_tcp(
             failure = _child_failure(children, reports)
             if failure is not None:
                 raise failure
+        for _, result in reports:
+            result.model = _slot(models, result.rank, start)
         return sorted(results + [r for _, r in reports], key=lambda result: result.rank)
     finally:
         # every report is in, or the launch failed: closing the write end

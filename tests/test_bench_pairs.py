@@ -1,6 +1,7 @@
-"""The paired-run summary of ``tools/bench_pairs.py``, on synthetic runs."""
+"""The paired-run summary and tree layout of ``tools/bench_pairs.py``, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,38 @@ def test_environment_names_the_host():
     assert set(env) == {"nproc", "affinity", "load_average_start", "python", "numpy"}
     assert env["nproc"] >= 1 and env["affinity"] and len(env["load_average_start"]) == 3
     assert env["python"].count(".") == 2 and env["numpy"]
+
+
+def test_pairs_alternate_between_two_path_lengths(monkeypatch, tmp_path):
+    """Both runs of a pair come from trees of one path length, and that
+    length alternates from pair to pair; ``--out`` records each run's tree."""
+    exported = []
+
+    def export(revision, into):
+        into.mkdir(parents=True)
+        exported.append(into)
+        return f"commit-{revision}"
+
+    calls = []
+
+    def run_bench(tree, workload, seconds, seed):
+        calls.append(tree)
+        return run(rate=100.0)
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "set.json"
+    bench_pairs.main(["base-rev", "head-rev", "--workload", "tcp-wide", "--pairs", "4",
+                      "--seconds", "1", "--workdir", str(tmp_path), "--out", str(out)])
+
+    assert len(exported) == 4 and len({len(str(tree)) for tree in exported}) == 2
+    pairs = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+    assert [[tree.name for tree in pair] for pair in pairs] == [
+        ["base", "head"], ["head", "base"], ["base", "head"], ["head", "base"],
+    ]
+    lengths = [len(str(pair[0])) for pair in pairs]
+    assert all(len(str(pair[1])) == length for pair, length in zip(pairs, lengths))
+    assert lengths[0] == lengths[2] != lengths[1] == lengths[3]
+    trees = json.loads(out.read_text())["workloads"]["tcp-wide"]["trees"]
+    assert trees["base"] == [str(pair[pair[0].name != "base"]) for pair in pairs]
+    assert trees["head"] == [str(pair[pair[0].name != "head"]) for pair in pairs]

@@ -1,7 +1,9 @@
 """Benchmark harness: dataset plumbing, artifact paths, verification, reports."""
 
 import gc
+import multiprocessing.queues
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -83,6 +85,18 @@ class TestVerification:
         with pytest.raises(VerificationError, match="diverges"):
             verify_against_reference(sequential_sgd(cfg, ds), results)
 
+    def test_detects_a_corrupted_child_model_over_tcp(self):
+        """A forked rank's model comes back as views into the launch's
+        shared mapping: verification reads that child's own bytes."""
+        cfg = small_config(world_size=4)
+        ds = build_dataset(cfg)
+        reference = sequential_sgd(cfg, ds)
+        results = run_tcp(cfg, ds)
+        verify_against_reference(reference, results)
+        results[2].model[1][3] += 1e-9
+        with pytest.raises(VerificationError, match="rank 2 layer 1 diverges"):
+            verify_against_reference(reference, results)
+
     def test_detects_missing_layer(self):
         cfg = small_config()
         ds = build_dataset(cfg)
@@ -150,6 +164,32 @@ class TestStartModel:
                 Rank(cfg, build_dataset(cfg), start, world.transport(0))
         finally:
             world.close()
+
+
+class TestTcpResults:
+    def test_child_reports_leave_the_model_out(self, monkeypatch, tmp_path):
+        """Each forked rank's queue report stays small with a model over
+        1 MB: the model comes back through the launch's shared mapping."""
+        cfg = TrainConfig(
+            layer_dims=(64, 256, 256, 256, 10), world_size=4, iterations=2,
+            batch_size=4, dataset_size=16, seed=5,
+        )
+        sizes = tmp_path / "report-sizes"
+        put = multiprocessing.queues.Queue.put
+
+        def logged(queue, obj, *args, **kwargs):
+            with open(sizes, "a") as fh:
+                fh.write(f"{len(pickle.dumps(obj))}\n")
+            return put(queue, obj, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.queues.Queue, "put", logged)
+        ds = build_dataset(cfg)
+        results = run_tcp(cfg, ds)
+        verify_against_reference(sequential_sgd(cfg, ds), results)
+        assert sum(layer.nbytes for layer in results[0].model) > 2**20
+        reported = [int(size) for size in sizes.read_text().split()]
+        assert len(reported) == 3
+        assert max(reported) <= 64 * 1024
 
 
 def crash_at(monkeypatch, rank, iteration):

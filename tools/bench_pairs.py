@@ -1,10 +1,15 @@
 """Paired benchmark runs of two revisions, summarized against BENCHMARK.json.
 
-Each revision is exported with ``git archive`` into its own temporary
-directory, so uncommitted files and build leftovers play no part.  For
-every workload the script then runs ``bench/run.py --trace 0`` on both
-trees, N pairs, the order flipping every pair (base first, then head
-first), and prints for each end-to-end metric of ``BENCHMARK.json``:
+Each revision is exported with ``git archive`` into two temporary
+directories whose paths differ in length, so uncommitted files and build
+leftovers play no part.  For every workload the script then runs
+``bench/run.py --trace 0`` on both revisions, N pairs, the order flipping
+every pair (base first, then head first).  Both runs of a pair use the
+trees of one path length, short and long alternating from pair to pair:
+tcp-wide's ``setup_s`` has moved by several milliseconds with where a
+tree sits, and the alternation spreads that effect over both sides
+evenly.  The script prints for each end-to-end metric of
+``BENCHMARK.json``:
 each side's median and quartiles, the change of the median, how many
 pairs the head revision won, and a verdict:
 
@@ -20,8 +25,9 @@ Run from the repository root, for example::
 
     python3 tools/bench_pairs.py e668e6b HEAD --workload tcp-wide --pairs 10 --seconds 35
 
-``--out`` writes every run's JSON object, the summary rows, both commit
-hashes and the host's environment (:func:`environment`) to one file; the
+``--out`` writes every run's JSON object and the tree it ran from, the
+summary rows, both commit hashes and the host's environment
+(:func:`environment`) to one file; the
 committed ``BENCH_*.json`` files are such sets.  ``BENCHMARK.json`` is
 only read.  Standard library only.
 """
@@ -45,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # share of pairs the head must win before a gain is reported
 WIN_SHARE = 0.9
+# the directory that lengthens the path of each revision's second tree
+LONGER = "a-longer-path-for-the-second-tree-of-each-revision"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -190,27 +198,33 @@ def main(argv: list[str] | None = None) -> int:
     report = {"environment": environment(), "workloads": {}}
     print(f"environment: {json.dumps(report['environment'])}")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
-        trees = {"base": Path(tmp, "base"), "head": Path(tmp, "head")}
+        # trees[side][i % 2] runs pair i: both sides' paths have one length
+        trees = {side: [Path(tmp, side), Path(tmp, LONGER, side)] for side in ("base", "head")}
         for side, rev in (("base", args.base), ("head", args.head)):
-            report[side] = export(rev, trees[side])
+            for tree in trees[side]:
+                report[side] = export(rev, tree)
             print(f"{side}: {rev} = {report[side]}")
         for workload in workloads:
             runs = {"base": [], "head": []}
+            ran_in = {"base": [], "head": []}
             for i in range(args.pairs):
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    run = run_bench(trees[side], workload, args.seconds, args.seed)
+                    tree = trees[side][i % 2]
+                    run = run_bench(tree, workload, args.seconds, args.seed)
                     runs[side].append(run)
+                    ran_in[side].append(str(tree))
                     shown = "failed" if run is None else " ".join(
                         f"{m['name']}={run['metrics'][m['name']]['value']:.4g}"
                         for m in bench["end_to_end"] if m["name"] in run["metrics"]
                     )
-                    print(f"  {workload} pair {i + 1}/{args.pairs} {side}: {shown}", flush=True)
+                    print(f"  {workload} pair {i + 1}/{args.pairs} {side}"
+                          f" ({len(str(tree))}-char path): {shown}", flush=True)
             rows = summarize(runs["base"], runs["head"], bench["end_to_end"])
             failed = {s: sum(r is None or r["failed"] > 0 for r in runs[s]) for s in runs}
             print(f"{workload}: {args.pairs} pairs, --seconds {args.seconds:g}, seed {args.seed};"
                   f" runs with failures: base {failed['base']}, head {failed['head']}")
             print("\n".join(format_rows(rows)))
-            report["workloads"][workload] = {"runs": runs, "summary": rows}
+            report["workloads"][workload] = {"runs": runs, "trees": ran_in, "summary": rows}
     report["environment"]["load_average_end"] = list(os.getloadavg())
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1))
