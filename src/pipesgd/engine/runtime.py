@@ -193,7 +193,13 @@ def plan(config: TrainConfig, latency: LatencyModel) -> list[Unit]:
 
 @dataclass
 class RankResult:
-    """What one rank hands back after its training loop."""
+    """What one rank hands back after its training loop.
+
+    ``model`` holds the rank's own copy of its final layers.  A forked
+    rank of ``harness.run_tcp`` reports without them: the launcher sets
+    its ``model`` to per-layer views into the launch's shared mapping,
+    where the child copied them.
+    """
 
     rank: int
     world_size: int

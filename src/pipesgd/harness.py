@@ -237,10 +237,8 @@ def run_tcp(
         start = start_model(config)
         # rank 0's slot is never touched, so it costs no memory
         models = mmap.mmap(-1, world * sum(layer.nbytes for layer in start))
-        shared = (
-            config, dataset, start, latency, record, listeners, addresses, models, result_queue,
-            hold,
-        )
+        shared = (config, dataset, start, latency, record, listeners, addresses, models,
+                  result_queue, hold)
         for r in range(1, world):
             child = ctx.Process(target=_tcp_child, args=(r, *shared), daemon=True)
             child.start()

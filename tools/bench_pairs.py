@@ -1,17 +1,16 @@
 """Paired benchmark runs of two revisions, summarized against BENCHMARK.json.
 
-Each revision is exported with ``git archive`` into two temporary
-directories whose paths differ in length, so uncommitted files and build
-leftovers play no part.  For every workload the script then runs
+Each revision is exported with ``git archive``, so uncommitted files and
+build leftovers play no part, into two temporary directories whose paths
+differ in length.  For every workload the script then runs
 ``bench/run.py --trace 0`` on both revisions, N pairs, the order flipping
 every pair (base first, then head first).  Both runs of a pair use the
 trees of one path length, short and long alternating from pair to pair:
 tcp-wide's ``setup_s`` has moved by several milliseconds with where a
 tree sits, and the alternation spreads that effect over both sides
 evenly.  The script prints for each end-to-end metric of
-``BENCHMARK.json``:
-each side's median and quartiles, the change of the median, how many
-pairs the head revision won, and a verdict:
+``BENCHMARK.json``: each side's median and quartiles, the change of the
+median, how many pairs the head revision won, and a verdict:
 
   unresolved  the base runs' interquartile range, relative to their
               median, exceeds the metric's bound: the runs cannot tell a
@@ -27,9 +26,8 @@ Run from the repository root, for example::
 
 ``--out`` writes every run's JSON object and the tree it ran from, the
 summary rows, both commit hashes and the host's environment
-(:func:`environment`) to one file; the
-committed ``BENCH_*.json`` files are such sets.  ``BENCHMARK.json`` is
-only read.  Standard library only.
+(:func:`environment`) to one file; the committed ``BENCH_*.json`` files
+are such sets.  ``BENCHMARK.json`` is only read.  Standard library only.
 """
 
 from __future__ import annotations
