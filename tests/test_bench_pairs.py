@@ -124,5 +124,5 @@ def test_pairs_alternate_between_two_path_lengths(monkeypatch, tmp_path):
     assert all(len(str(pair[1])) == length for pair, length in zip(pairs, lengths))
     assert lengths[0] == lengths[2] != lengths[1] == lengths[3]
     trees = json.loads(out.read_text())["workloads"]["tcp-wide"]["trees"]
-    assert trees["base"] == [str(pair[pair[0].name != "base"]) for pair in pairs]
-    assert trees["head"] == [str(pair[pair[0].name != "head"]) for pair in pairs]
+    assert trees == {side: [str(tree) for tree in calls if tree.name == side]
+                     for side in ("base", "head")}
