@@ -5,6 +5,7 @@ caller's thread, so these tests can interleave ranks deterministically:
 publish a gradient here, poll there, and inspect the state in between.
 """
 
+import hashlib
 import random
 import time
 import tracemalloc
@@ -23,7 +24,7 @@ from pipesgd.engine.runtime import Unit
 from pipesgd.errors import ProtocolError
 from pipesgd.topology import build_reduction_tree, shard_range
 from pipesgd.harness import run_inproc, start_model
-from pipesgd.transport import InprocWorld, LatencyModel, WriteRequest
+from pipesgd.transport import InprocTransport, InprocWorld, LatencyModel, WriteRequest
 
 
 @pytest.fixture
@@ -720,6 +721,41 @@ WRITES_PER_UNIT = {
     6: {**{r: 3 + 5 for r in range(4)}, 4: 3 + 2 * 5, 5: 3 + 2 * 5},
 }
 
+REQUEST_FIELDS = (
+    "local_segment", "local_offset", "rank", "remote_segment", "remote_offset", "size",
+    "notification_id", "notification_value",
+)
+# (layer dims, link model, compute_inflation_ns, dataset size): the
+# tcp-latency workload's task, which plans one unit per layer with both
+# collectives, and the default dims at zero latency, one sharded unit
+TRAFFIC_CASES = {
+    "tcp-latency": (
+        (10, 64, 96, 96, 96, 96, 64, 10), LatencyModel(fixed_ns=200_000, per_byte_ns=20.0),
+        3_000_000, 128,
+    ),
+    "default": (TrainConfig.layer_dims, None, 0, TrainConfig.dataset_size),
+}
+# (case, world size, pattern, requests over 2 iterations, SHA-256 of the
+# repr of every (writer, *fields) tuple, sorted)
+TRAFFIC_DIGESTS = [
+    ("tcp-latency", 3, "pipelined", 164,
+     "25bc39a96712fb398226d9434b4afd5ff3221d9dd2c0783dcdb1571460743c01"),
+    ("tcp-latency", 3, "barrier", 28,
+     "b34f4027c4ad38084a772225a94c4f4ff5f1900e00f29cf89ba0bcf3c76aa1a9"),
+    ("tcp-latency", 4, "pipelined", 248,
+     "6c1a2feaee716d64c83605a44e61981dc86eebc17c2ca4e1f5b21163b9a3eb83"),
+    ("tcp-latency", 4, "barrier", 40,
+     "926e34bd019bb49a03dd9598777491ca84498b8a3460ef9f88c3a67cae51622b"),
+    ("default", 3, "pipelined", 28,
+     "ab84df9a88d29280e40cdd2515f2201594fa1d7fef31949f2803d6d649dfaba9"),
+    ("default", 3, "barrier", 28,
+     "ab84df9a88d29280e40cdd2515f2201594fa1d7fef31949f2803d6d649dfaba9"),
+    ("default", 4, "pipelined", 40,
+     "9fc68859283d57011c70f90871aa46063b3e4cfac749f0e748d63b1532e04da5"),
+    ("default", 4, "barrier", 40,
+     "9fc68859283d57011c70f90871aa46063b3e4cfac749f0e748d63b1532e04da5"),
+]
+
 
 class TestTraffic:
     @pytest.mark.parametrize("pattern", ["pipelined", "barrier"])
@@ -777,6 +813,31 @@ class TestTraffic:
             dataset_size=16, seed=9, pattern=pattern,
         )
         assert writes_per_rank_per_iteration(monkeypatch, cfg) == WRITES_PER_UNIT[world_size]
+
+    @pytest.mark.parametrize("case,world_size,pattern,count,digest", TRAFFIC_DIGESTS)
+    def test_every_request_is_pinned(self, monkeypatch, case, world_size, pattern, count, digest):
+        """Every write request every rank sends, field by field: its
+        ranges, sizes, ids and values hash to the digest taken when it was
+        pinned.  Each request is recorded as a plain tuple of its eight
+        fields, so the digest does not depend on the request's type."""
+        dims, latency, inflation_ns, dataset_size = TRAFFIC_CASES[case]
+        cfg = TrainConfig(
+            layer_dims=dims, world_size=world_size, iterations=2, batch_size=48,
+            dataset_size=dataset_size, compute_inflation_ns=inflation_ns, pattern=pattern,
+        )
+        sent = []
+        write_notify = InprocTransport.write_notify
+
+        def recording(transport, req):
+            sent.append((transport.rank, *(getattr(req, f) for f in REQUEST_FIELDS)))
+            return write_notify(transport, req)
+
+        monkeypatch.setattr(InprocTransport, "write_notify", recording)
+        ds = net.make_synthetic_dataset(cfg.seed, cfg.dataset_size, cfg.specs(), cfg.input_scale)
+        run_inproc(cfg, ds, latency=latency)
+        assert len(sent) == count
+        assert hashlib.sha256(repr(sorted(sent)).encode()).hexdigest() == digest
+
 
 class TestProgressDuringCompute:
     def test_update_lands_inside_the_next_layers_compute(self):
