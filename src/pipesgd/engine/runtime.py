@@ -202,8 +202,6 @@ class RankResult:
     """
 
     rank: int
-    world_size: int
-    iterations: int
     model: list[np.ndarray]
     losses: list[float]
     barrier_calls: int
@@ -211,17 +209,6 @@ class RankResult:
     wall_ns: int
     units: list[Unit]
     events: list[TimelineEvent] = field(default_factory=list)
-
-
-class _Write(NamedTuple):
-    """One planned notify-write; its notification value is set when sent."""
-
-    dest: int
-    segment: int
-    offset: int
-    remote_offset: int
-    size: int
-    nid: int
 
 
 class _Wait(NamedTuple):
@@ -234,7 +221,8 @@ class _Wait(NamedTuple):
 class _Phase(NamedTuple):
     name: str
     kind: str  # timeline kind of its writes
-    sends: list[_Write]
+    # planned with notification value 0; _send stamps iteration+1
+    sends: list[WriteRequest]
     waits: list[_Wait]
     # (addend, sum) views added in this order once every wait arrived
     folds: list[tuple[np.ndarray, np.ndarray]]
@@ -261,7 +249,8 @@ class Rank:
     """One rank's training loop over the units :func:`plan` gives it;
     ``config.pattern`` also picks its fences.
 
-    ``start`` holds the start weights, one flat array per layer.  Like
+    ``start`` holds the start weights, one flat array per layer, each of
+    shape ``(param_count,)``; any other shape raises ``ShapeError``.  Like
     ``dataset`` they are a launch input: the launcher builds them once per
     launch with ``net.init_model(config.seed, config.specs())``, marks
     them read-only and hands the same arrays to every rank, which copies
@@ -292,6 +281,11 @@ class Rank:
         sizes = [np.size(layer) for layer in start]
         if sizes != [s.param_count for s in self.specs]:
             raise ShapeError(f"start weights of {sizes} values per layer do not fit the config")
+        for l, layer in enumerate(start):
+            if np.ndim(layer) != 1:
+                raise ShapeError(
+                    f"start weights of layer {l} have shape {np.shape(layer)}, not ({sizes[l]},)"
+                )
         self.units = plan(config, transport.latency)
         self._fenced = config.pattern == "barrier"
         # a unit is published when its lowest layer's gradient is emitted
@@ -425,10 +419,10 @@ class Rank:
             phase = _Phase("exchange", "send_trigger", [], [], [])
             for i in range(1, world):
                 dest = (self.rank + i) % world
-                phase.sends.append(_Write(
-                    dest, SEG_WORK, lay.offset(0, unit),
+                phase.sends.append(WriteRequest(
+                    SEG_WORK, lay.offset(0, unit), dest, SEG_RECV,
                     lay.exchange_offset(parity, self.rank, unit), lay.unit_bytes[unit],
-                    lay.notif_id(base + self.rank, unit),
+                    lay.notif_id(base + self.rank, unit), 0,
                 ))
             home = []  # where each rank's subtree sum builds up
             for sender in range(world):
@@ -451,14 +445,14 @@ class Rank:
 
     def _write(
         self, dest: int, segment: int, slot: int, unit: int, span: tuple[int, int], channel: int
-    ) -> _Write:
+    ) -> WriteRequest:
         """A write of one range of a unit from slot 0 of ``segment`` into
-        the same range of ``dest``'s receive ``slot``."""
+        the same range of ``dest``'s receive ``slot``, not yet stamped."""
         lay = self.layout
         lo, hi = span
-        return _Write(
-            dest, segment, lay.offset(0, unit, lo), lay.offset(slot, unit, lo),
-            lay.offset(0, unit, hi) - lay.offset(0, unit, lo), lay.notif_id(channel, unit),
+        return WriteRequest(
+            segment, lay.offset(0, unit, lo), dest, SEG_RECV, lay.offset(slot, unit, lo),
+            lay.offset(0, unit, hi) - lay.offset(0, unit, lo), lay.notif_id(channel, unit), 0,
         )
 
     def _update_pieces(self, unit: int, model: np.ndarray, grad: np.ndarray) -> list:
@@ -490,10 +484,10 @@ class Rank:
 
     # Sending ---------------------------------------------------------------
 
-    def _send(self, unit: int, kind: str, write: _Write) -> None:
-        """One notify-write of one planned range, with notification value
-        iteration+1 so receivers can tell live data from leftovers (value
-        0 means "never fired").
+    def _send(self, unit: int, kind: str, write: WriteRequest) -> None:
+        """One planned notify-write, stamped when sent with notification
+        value iteration+1 so receivers can tell live data from leftovers
+        (value 0 means "never fired").
 
         The flight is recorded at once, from here to whichever ends
         later: the call, which over tcp sends the whole frame, or the
@@ -501,18 +495,7 @@ class Rank:
         payload has left its source range when the call returns.
         """
         t0 = time.monotonic_ns()
-        end = self.tr.write_notify(
-            WriteRequest(
-                local_segment=write.segment,
-                local_offset=write.offset,
-                rank=write.dest,
-                remote_segment=SEG_RECV,
-                remote_offset=write.remote_offset,
-                size=write.size,
-                notification_id=write.nid,
-                notification_value=self.k + 1,
-            )
-        )
+        end = self.tr.write_notify(write._replace(notification_value=self.k + 1))
         self._record(kind, self._labels[unit], t0, max(time.monotonic_ns(), end))
 
     # Batch handling ---------------------------------------------------------
@@ -561,8 +544,6 @@ class Rank:
         wall_ns = time.monotonic_ns() - t0
         return RankResult(
             rank=self.rank,
-            world_size=self.cfg.world_size,
-            iterations=self.cfg.iterations,
             model=[np.array(v, copy=True) for v in self.model_views],
             losses=list(self.losses),
             barrier_calls=self.tr.barrier_calls - base_barriers,
@@ -654,19 +635,31 @@ class Rank:
     def _comm_pass(self) -> bool:
         """One non-blocking poll of the receive segment, then the work it enables.
 
-        Arrivals are checked and recorded first, then every started unit
-        runs as many phases as its arrivals allow.  A rank without peers
-        never polls.  Returns True when at least one notification was
-        consumed, which is the liveness signal the finalize watchdog
-        feeds on.
+        Every assigned id is polled.  Traffic for iteration k+1 (value
+        k+2) is left in place for the next iteration; any other value but
+        k+1 is a protocol violation and raises.  Each arrival is consumed,
+        checked and recorded, then every started unit runs as many phases
+        as its arrivals allow.  A rank without peers never polls.  Returns
+        True when at least one notification was consumed, which is the
+        liveness signal the finalize watchdog feeds on.
         """
         t_pass = time.monotonic_ns()
-        arrivals = self._consume() if self.cfg.world_size > 1 else []
-        for nid in arrivals:
+        consumed = False
+        hits = self.tr.notify_poll(SEG_RECV, 1, self._poll_ids) if self.cfg.world_size > 1 else []
+        for nid, value in hits:
+            if value == self.k + 2:
+                continue  # next iteration's data, not ours to consume
+            if value != self.k + 1:
+                raise ProtocolError(
+                    f"rank {self.rank}: iteration {self.k} saw notification value "
+                    f"{value} on id {nid}"
+                )
+            self.tr.notify_reset(SEG_RECV, nid)
             self._accept(nid, t_pass)
+            consumed = True
         for unit in range(len(self.units)):
             self._advance(unit)
-        return bool(arrivals)
+        return consumed
 
     def _accept(self, nid: int, t_pass: int) -> None:
         """Check one consumed arrival against the plan, then record it."""
@@ -748,27 +741,3 @@ class Rank:
                 missing = sorted({w.sender for w in phase.waits if w.nid not in st.arrived[unit]})
                 waiting.append(f"{layers} {phase.name} (ranks pending: {missing})")
         return "; ".join(waiting) or "nothing pending"
-
-    # Notification consumption -------------------------------------------------
-
-    def _consume(self) -> list[int]:
-        """Consume current-iteration notifications on the receive segment.
-
-        Polls every assigned id and returns each consumed one.  Traffic
-        for iteration k+1 (value k+2) is left in place for the next
-        iteration; any other value but k+1 is a protocol violation and
-        raises.
-        """
-        hits = self.tr.notify_poll(SEG_RECV, 1, self._poll_ids)
-        out = []
-        for nid, value in hits:
-            if value == self.k + 2:
-                continue  # next iteration's data, not ours to consume
-            if value != self.k + 1:
-                raise ProtocolError(
-                    f"rank {self.rank}: iteration {self.k} saw notification value "
-                    f"{value} on id {nid}"
-                )
-            self.tr.notify_reset(SEG_RECV, nid)
-            out.append(nid)
-        return out

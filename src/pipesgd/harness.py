@@ -40,7 +40,7 @@ from .engine.config import TrainConfig
 from .engine.runtime import Rank, RankResult
 from .engine.sgd import sequential_sgd
 from .errors import ConfigError, TransportError, VerificationError
-from .timeline import RunMetrics, compute_overlap, write_timeline_csv
+from .timeline import compute_overlap, write_timeline_csv
 from .transport.base import LatencyModel
 from .transport.inproc import InprocWorld
 from .transport.tcp import TcpTransport, bind_listener
@@ -313,10 +313,7 @@ class BenchOptions:
 
 @dataclass
 class BenchReport:
-    pattern: str
     results: list[RankResult]
-    metrics: RunMetrics
-    dataset_sha: str
 
     @property
     def wall_ns(self) -> int:
@@ -393,7 +390,7 @@ def run_benchmark(options: BenchOptions) -> dict[str, BenchReport]:
         results = launch(cfg, dataset, options.latency, record=True)
         events = [e for r in results for e in r.events]
         metrics = compute_overlap(events)
-        report = BenchReport(pattern, results, metrics, sha)
+        report = BenchReport(results)
         reports[pattern] = report
         if reference is not None:
             verify_against_reference(reference, results)

@@ -28,6 +28,7 @@ import numbers
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class LatencyModel:
         return max(time.monotonic_ns(), link_free_ns) + delay_ns
 
 
-@dataclass(frozen=True)
-class WriteRequest:
+class WriteRequest(NamedTuple):
     """One one-sided write: local source range -> remote segment range.
 
-    ``notification_value`` must be nonzero; value 0 is the "nothing
-    fired" marker on the receive side.
+    A ``NamedTuple``, so the engine plans each write once and stamps its
+    value with ``_replace`` when it sends it.  ``notification_value`` must
+    be nonzero to leave (:meth:`TransportBase._post`): value 0 is the
+    "nothing fired" marker on the receive side, and the value a planned
+    request carries until it is sent.
     """
 
     local_segment: int

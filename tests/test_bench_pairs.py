@@ -126,3 +126,27 @@ def test_pairs_alternate_between_two_path_lengths(monkeypatch, tmp_path):
     trees = json.loads(out.read_text())["workloads"]["tcp-wide"]["trees"]
     assert trees == {side: [str(tree) for tree in calls if tree.name == side]
                      for side in ("base", "head")}
+
+
+def test_records_each_revisions_src_code_lines(monkeypatch, tmp_path, capsys):
+    """Each revision's ``src/`` is counted once, by ``tools/src_loc.py``:
+    the line shows both counts and their difference, and ``--out`` keeps
+    both."""
+    sources = {
+        "base-rev": "import os\n\n\ndef f():\n    return os.sep\n",
+        "head-rev": '"""Docstring."""\n\nimport os  # a comment\n',
+    }
+
+    def export(revision, into):
+        (into / "src" / "pkg").mkdir(parents=True)
+        (into / "src" / "pkg" / "mod.py").write_text(sources[revision])
+        return f"commit-{revision}"
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: run(rate=100.0))
+    out = tmp_path / "set.json"
+    bench_pairs.main(["base-rev", "head-rev", "--workload", "tcp-wide", "--pairs", "1",
+                      "--seconds", "1", "--workdir", str(tmp_path), "--out", str(out)])
+
+    assert "src code lines: base 3, head 1 (-2)\n" in capsys.readouterr().out
+    assert json.loads(out.read_text())["src_code_lines"] == {"base": 3, "head": 1}

@@ -155,9 +155,17 @@ class TestStartModel:
             with pytest.raises(ValueError):
                 layer[0] = 1.0
 
-    def test_start_weights_must_fit_the_config(self):
+    @pytest.mark.parametrize("shape", [None, (30, 1), (1, 30)], ids=["dims", "column", "row"])
+    def test_start_weights_must_fit_the_config(self, shape):
+        """Start weights of other dims are rejected, and so is a layer of
+        the right size whose shape is not ``(param_count,)``: it is
+        neither broadcast into the model nor flattened."""
         cfg = small_config(world_size=1)
-        start = harness.start_model(small_config(layer_dims=(4, 5, 3)))
+        if shape is None:
+            start = harness.start_model(small_config(layer_dims=(4, 5, 3)))
+        else:
+            start = harness.start_model(cfg)
+            start[0] = start[0].reshape(shape)
         world = InprocWorld(1)
         try:
             with pytest.raises(ShapeError, match="start weights"):
@@ -240,10 +248,10 @@ def die_mid_gradient_frame(monkeypatch, rank, iteration):
         if r.rank == rank and r.k == iteration and kind == "send_trigger":
             assert write.size > 100, "the cut must fall inside the payload"
             header = wire.pack_write_notify(
-                SEG_RECV, write.remote_offset, write.size, write.nid, r.k + 1
+                SEG_RECV, write.remote_offset, write.size, write.notification_id, r.k + 1
             )
             # the link to the partner is idle: last iteration's writes completed
-            r.tr._peers[write.dest].sendall(header + r.seg_work.read(write.offset, 100))
+            r.tr._peers[write.rank].sendall(header + r.seg_work.read(write.local_offset, 100))
             os._exit(1)
         send(r, unit, kind, write)
 

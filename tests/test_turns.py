@@ -270,7 +270,7 @@ def send_gathered(rank, dest, unit=0):
     """Send ``rank``'s planned all-gather write to ``dest``, in or out of
     turn."""
     phase = rank._phases[unit][-1]
-    (write,) = [w for w in phase.sends if w.dest == dest]
+    (write,) = [w for w in phase.sends if w.rank == dest]
     rank._send(unit, phase.kind, write)
 
 

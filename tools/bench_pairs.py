@@ -24,8 +24,10 @@ Run from the repository root, for example::
 
     python3 tools/bench_pairs.py e668e6b HEAD --workload tcp-wide --pairs 10 --seconds 35
 
-``--out`` writes every run's JSON object and the tree it ran from, the
-summary rows, both commit hashes and the host's environment
+Before the runs it prints each revision's code lines under ``src/``,
+counted by this checkout's ``tools/src_loc.py``.  ``--out`` writes every
+run's JSON object and the tree it ran from, the summary rows, both commit
+hashes, both code-line counts and the host's environment
 (:func:`environment`) to one file; the committed ``BENCH_*.json`` files
 are such sets.  ``BENCHMARK.json`` is only read.  Standard library only.
 """
@@ -158,6 +160,16 @@ def export(revision: str, into: Path) -> str:
     return commit
 
 
+def src_code_lines(tree: Path) -> int:
+    """Code lines under ``tree``'s ``src/``, as this checkout's
+    ``tools/src_loc.py`` counts them."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_loc.py"), str(tree / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout.splitlines()[-1].split()[0])
+
+
 def run_bench(tree: Path, workload: str, seconds: float, seed: int):
     """Final JSON object of one ``bench/run.py`` run, or None if it failed."""
     proc = subprocess.run(
@@ -202,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
             for tree in trees[side]:
                 report[side] = export(rev, tree)
             print(f"{side}: {rev} = {report[side]}")
+        lines = report["src_code_lines"] = {s: src_code_lines(trees[s][0]) for s in trees}
+        print(f"src code lines: base {lines['base']}, head {lines['head']}"
+              f" ({lines['head'] - lines['base']:+d})")
         for workload in workloads:
             runs = {"base": [], "head": []}
             ran_in = {"base": [], "head": []}
