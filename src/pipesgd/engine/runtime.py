@@ -28,11 +28,12 @@ allreduce.  At zero latency no unit is.  Every other unit is
     whose partner w = v ^ 2**j is played elsewhere, the rank writes the
     half of v's range that w keeps into w's player's slot 1 + j, and
     folds w's copy of the half v keeps into its gradient once it landed;
-  * the update: each virtual rank's final range, its *shard*, is updated
-    in place in slot 0 (:func:`.sgd.apply_update` is elementwise);
-  * the all-gather, in one hop: the rank writes each non-empty shard it
-    plays from slot 0 into the same range of every other rank's slot 0,
-    and waits until every shard it does not play landed in its own.
+  * the all-gather, in one hop.  It opens with the update: each virtual
+    rank's final range, its *shard*, is updated in place in slot 0
+    (:func:`.sgd.apply_update` is elementwise).  The rank then writes
+    each non-empty shard it plays from slot 0 into the same range of
+    every other rank's slot 0, and waits until every shard it does not
+    play landed in its own.
 
 Over 4 ranks a sharded unit costs each rank 5 writes: 2 in the
 reduce-scatter and 3 in the all-gather, which run on 3 links side by
@@ -119,9 +120,12 @@ Notification values carry iteration+1, so an early k+2 is recognized and
 left pending until this rank reaches iteration k+1; k+3 cannot come,
 since a partner ends iteration k+1 only with this rank's k+1 data.  A
 write on a channel this rank does not expect (among them exchange data
-for a sharded unit), a second write on one, a shard before the
-reduce-scatter step whose send carried this rank's share of it started,
-or exchange data on the other parity's id raises at the next pass.  The
+for a sharded unit), a second write on one after the first was consumed,
+a shard before the reduce-scatter step whose send carried this rank's
+share of it started, or exchange data on the other parity's id raises at
+the next pass.  A second write that lands before the first was consumed
+raises nothing: as in GASPI, a notification is set, not counted, so the
+second overwrites the first and is folded once.  The
 barrier baseline adds exactly two fences per iteration: one before its
 whole-model unit is published and one after the iteration's traffic is
 done.  Those two barrier calls are the synchronization the pipelined
@@ -221,6 +225,8 @@ class _Wait(NamedTuple):
 class _Phase(NamedTuple):
     name: str
     kind: str  # timeline kind of its writes
+    # (layer, weights, gradient) views updated in place before the sends
+    updates: list[tuple[int, np.ndarray, np.ndarray]]
     # planned with notification value 0; _send stamps iteration+1
     sends: list[WriteRequest]
     waits: list[_Wait]
@@ -231,10 +237,9 @@ class _Phase(NamedTuple):
 class TurnState:
     """Collective progress of one in-flight iteration, per unit.
 
-    A unit runs its phases in order.  A phase *starts* by sending its
-    writes (the update phase: by updating what this rank updates of the
-    unit) and *ends* once every write it waits for has arrived and its
-    folds have run.
+    A unit runs its phases in order.  A phase *starts* by applying its
+    updates and sending its writes, and *ends* once every write it waits
+    for has arrived and its folds have run.
     """
 
     def __init__(self, num_units: int):
@@ -326,9 +331,6 @@ class Rank:
             self._exchange(unit) if u.replicated else [self._sharded(unit)] * 2
             for unit, u in enumerate(self.units)
         )))
-        self._pieces = [
-            self._update_pieces(unit, model_region, grad_region) for unit in range(len(self.units))
-        ]
         # every id in [1, count) is assigned, so polls cover exactly that span
         self._poll_ids = lay.notif_count(channels) - 1
         self.losses: list[float] = []
@@ -339,16 +341,16 @@ class Rank:
 
     def _sharded(self, unit: int) -> list[_Phase]:
         """This rank's phases for one unit: reduce-scatter steps 0..d-1,
-        the update, then the all-gather.  Empty ranges are neither sent
-        nor waited for."""
-        lay, cube = self.layout, self.cube
+        then the all-gather, which opens with the update of the shards
+        this rank plays.  Empty ranges are neither sent nor waited for."""
+        lay, cube, world = self.layout, self.cube, self.cfg.world_size
         n = lay.param_counts[unit]
         grad = self.seg_work.view_f64(lay.offset(0, unit), n)
         phases = []
         gave = []  # (range, step) of every range this rank's reduce-scatter sent
         for j in range(self.steps):
             rx = self.seg_recv.view_f64(lay.offset(1 + j, unit), n)
-            rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [], [])
+            rs = _Phase(f"reduce-scatter step {j}", "send_trigger", [], [], [], [])
             for v, w in cube.exchanges(self.rank, j):
                 peer = cube.players[w]
                 # v keeps one half of the range both hold, w the other:
@@ -364,18 +366,12 @@ class Rank:
                     rs.sends.append(self._write(peer, SEG_WORK, 1 + j, unit, give, v))
                     gave.append((give, j))
             phases.append(rs)
-        update = _Phase("update", "master_update", [], [], [])
-        return phases + [update, self._gather(unit, gave)]
-
-    def _gather(self, unit: int, gave: list[tuple[tuple[int, int], int]]) -> _Phase:
-        """The all-gather: the player of each non-empty shard writes it
-        from slot 0 into the same range of every other rank's slot 0, on
-        the shard's all-gather channel.  A shard comes only after this
-        rank started the reduce-scatter step whose send carried its
-        contribution to it, the one sent range that holds the shard."""
-        lay, cube, world = self.layout, self.cube, self.cfg.world_size
-        n = lay.param_counts[unit]
-        phase = _Phase("all-gather", "model_forward", [], [], [])
+        # the player of each non-empty shard writes it from slot 0 into the
+        # same range of every other rank's slot 0, on the shard's all-gather
+        # channel.  A shard comes only after this rank started the
+        # reduce-scatter step whose send carried its contribution to it,
+        # the one sent range that holds the shard.
+        phase = _Phase("all-gather", "model_forward", self._update_pieces(unit), [], [], [])
         for x, player in enumerate(cube.players):
             lo, hi = shard = shard_range(n, x, self.steps)
             if lo == hi:
@@ -392,7 +388,7 @@ class Rank:
                 nid = lay.notif_id(channel, unit)
                 phase.waits.append(_Wait(nid, player))
                 self._expected[nid] = (unit, step + 1, None)
-        return phase
+        return phases + [phase]
 
     def _exchange(self, unit: int) -> list[list[_Phase]]:
         """A replicated unit's phases for even and odd iterations: the
@@ -413,10 +409,11 @@ class Rank:
         while node != tree.root:
             path.add(node)
             node = tree.parent[node]
+        update = _Phase("update", "master_update", self._update_pieces(unit), [], [], [])
         plans = []
         for parity in (0, 1):
             base = self._exchange_channel + parity * world  # sender 0's channel
-            phase = _Phase("exchange", "send_trigger", [], [], [])
+            phase = _Phase("exchange", "send_trigger", [], [], [], [])
             for i in range(1, world):
                 dest = (self.rank + i) % world
                 phase.sends.append(WriteRequest(
@@ -440,7 +437,7 @@ class Rank:
                         home[r] = home[c]
                     else:
                         phase.folds.append((home[c], home[r]))
-            plans.append([phase, _Phase("update", "master_update", [], [], [])])
+            plans.append([phase, update])
         return plans
 
     def _write(
@@ -455,13 +452,12 @@ class Rank:
             lay.offset(0, unit, hi) - lay.offset(0, unit, lo), lay.notif_id(channel, unit), 0,
         )
 
-    def _update_pieces(self, unit: int, model: np.ndarray, grad: np.ndarray) -> list:
+    def _update_pieces(self, unit: int) -> list:
         """(layer, weights, gradient) views of what this rank updates of
         one unit - its shards, or the whole unit if it is replicated - one
-        piece per layer a range touches; ``model`` and ``grad`` are the
-        whole-model regions."""
+        piece per layer a range touches."""
         first, stop, replicated = self.units[unit]
-        bounds = self._bounds
+        bounds, model, grad = self._bounds, self.model_views, self.grad_views
         n = self.layout.param_counts[unit]
         spans = (
             [(0, n)] if replicated
@@ -470,10 +466,11 @@ class Rank:
         pieces = []
         for lo, hi in spans:
             for layer in range(first, stop):
-                a = max(bounds[first] + lo, bounds[layer])
-                b = min(bounds[first] + hi, bounds[layer + 1])
+                # the range's part of this layer, in the layer's own indices
+                a = max(bounds[first] + lo - bounds[layer], 0)
+                b = min(bounds[first] + hi, bounds[layer + 1]) - bounds[layer]
                 if a < b:
-                    pieces.append((layer, model[a:b], grad[a:b]))
+                    pieces.append((layer, model[layer][a:b], grad[layer][a:b]))
         return pieces
 
     # Event recording ------------------------------------------------------
@@ -626,12 +623,6 @@ class Rank:
 
     # Internal steps ---------------------------------------------------------
 
-    def _apply_update(self, unit: int) -> None:
-        for layer, weights, gradient in self._pieces[unit]:
-            t0 = time.monotonic_ns()
-            apply_update(weights, gradient, self.cfg.epsilon)
-            self._record("master_update", layer, t0, time.monotonic_ns())
-
     def _comm_pass(self) -> bool:
         """One non-blocking poll of the receive segment, then the work it enables.
 
@@ -697,10 +688,9 @@ class Rank:
     def _advance(self, unit: int) -> None:
         """Run a started unit's phases while their arrivals are in.
 
-        Entering a phase sends its writes, or, between the two halves of
-        the collective, updates what this rank updates of the unit; a
-        phase ends once all of its waits arrived, running its folds in
-        the order the phase lists them.
+        Entering a phase updates its pieces in place, then sends its
+        writes; a phase ends once all of its waits arrived, running its
+        folds in the order the phase lists them.
         """
         st = self.state
         if not st.local_gradient_ready[unit]:
@@ -711,8 +701,10 @@ class Rank:
             phase = phases[p]
             if st.started[unit] == p:
                 st.started[unit] = p + 1
-                if phase.kind == "master_update":
-                    self._apply_update(unit)
+                for layer, weights, gradient in phase.updates:
+                    t0 = time.monotonic_ns()
+                    apply_update(weights, gradient, self.cfg.epsilon)
+                    self._record("master_update", layer, t0, time.monotonic_ns())
                 for write in phase.sends:
                     self._send(unit, phase.kind, write)
             arrived = st.arrived[unit]

@@ -21,6 +21,7 @@ from pipesgd.engine import (
     SEG_RECV, SEG_WORK, Rank, TrainConfig, master_update, runtime, sequential_sgd, tree_reduce,
 )
 from pipesgd.engine.runtime import Unit
+from pipesgd.engine.sgd import apply_update
 from pipesgd.errors import ProtocolError
 from pipesgd.topology import build_reduction_tree, shard_range
 from pipesgd.harness import run_inproc, start_model
@@ -487,6 +488,32 @@ class TestWatchdog:
             r0.finalize_iteration()
 
 
+class TestPhaseShape:
+    @pytest.mark.parametrize("world_size", [1, 3, 4])
+    @pytest.mark.parametrize("latency", [None, REPLICATE], ids=["sharded", "replicated"])
+    def test_the_last_phase_alone_updates(self, make_ranks, world_size, latency):
+        """A sharded unit runs its reduce-scatter steps, then the
+        all-gather, which opens with the update of the rank's shards; a
+        replicated unit runs the exchange, then the update.  In both, the
+        last phase is the only one that updates anything."""
+        _, _, ranks = make_ranks(
+            world_size, latency, layer_dims=(4, 6, 3), batch_size=2 * world_size,
+            compute_inflation_ns=1_000_000,
+        )
+        for rank in ranks:
+            assert [u.replicated for u in rank.units] == [latency is not None] * 2
+            for k in (0, 1):
+                rank.begin_iteration(k)
+                for unit, u in enumerate(rank.units):
+                    phases = rank._phases[unit]
+                    assert [p.name for p in phases] == (
+                        ["exchange", "update"] if u.replicated
+                        else [f"reduce-scatter step {j}" for j in range(rank.steps)]
+                        + ["all-gather"]
+                    )
+                    assert [bool(p.updates) for p in phases] == [False] * (len(phases) - 1) + [True]
+
+
 class TestReceiveSegment:
     @pytest.mark.parametrize(
         "world_size,steps", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)],
@@ -615,7 +642,9 @@ class TestCopyFree:
             backward = peak_bytes(lambda: net.backward_from_cache(
                 r0.specs, r0.model_views, cache, t, out=r0.grad_views
             ))
-            update = peak_bytes(lambda: r0._apply_update(0))
+            update = peak_bytes(lambda: [
+                apply_update(w, g, r0.cfg.epsilon) for _, w, g in r0._phases[0][-1].updates
+            ])
             r3.run_turn(0, grad(r3, 1.0))
             r2.run_turn(0, grad(r2, 1.0))
             r1.run_turn(0, grad(r1, 1.0))
