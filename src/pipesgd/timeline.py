@@ -116,8 +116,7 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _overlap_with(merged: list[tuple[int, int]], a: int, b: int) -> int:
     """Length of [a, b) covered by a merged, disjoint interval list."""
-    starts = [m[0] for m in merged]
-    i = max(0, bisect.bisect_right(starts, a) - 1)
+    i = max(0, bisect.bisect_right(merged, a, key=lambda m: m[0]) - 1)
     total = 0
     while i < len(merged) and merged[i][0] < b:
         lo = max(a, merged[i][0])

@@ -8,7 +8,7 @@ import pytest
 
 from pipesgd.engine import runtime
 
-_TRANSPORT_THREADS = ("inproc-link-", "tcp-send-", "tcp-recv-")
+_TRANSPORT_THREADS = ("tcp-recv-", "rank-")
 _LEAK_GRACE_S = 1.0
 
 
