@@ -14,11 +14,12 @@ _LEAK_GRACE_S = 1.0
 
 @pytest.fixture(autouse=True)
 def no_leaked_transport_threads():
-    """Fail a test that leaves a transport thread it started running.
+    """Fail a test that leaves a transport or rank thread it started running.
 
-    Links and receive loops belong to a transport and stop when it is
-    closed; one still alive a second after the test means something was
-    never closed, or a close that does not stop what it owns.
+    Receive loops belong to a transport and stop when it is closed, and
+    ``run_inproc`` joins its rank threads; one still alive a second after
+    the test means something was never closed, or a close that does not
+    stop what it owns.
     """
     before = set(threading.enumerate())
     yield
