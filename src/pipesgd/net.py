@@ -4,6 +4,12 @@ The backward pass walks layers from the output toward the input and hands
 each finished per-layer gradient to an optional callback.  That emission
 order is what lets the training engine start communicating a layer's
 gradient while earlier layers are still being differentiated.
+
+A one-row batch takes its weight gradients as exact outer products
+(``np.einsum``): ``np.matmul`` with inner dimension 1 skips BLAS for a
+slow generic loop, 102 against 35 microseconds for a 256x256 layer on a
+2-vCPU Intel Xeon host with NumPy 2.4.  Both sum one product onto zero, so the
+bytes are equal, signed zeros included.
 """
 
 from __future__ import annotations
@@ -181,6 +187,14 @@ def backward_from_cache(
     is computed straight into its buffer, which is what ``on_layer``
     receives and what is returned.  Without it the buffers are allocated
     here.
+
+    With one row in the batch the weight gradient is the outer product
+    ``np.einsum("bo,bi->oi", d_z, a_in)``, byte-equal to the
+    ``np.matmul(d_z.T, a_in)`` every other batch size uses, which at
+    inner dimension 1 runs NumPy's non-BLAS loop at about three times the
+    cost.  ``np.multiply(d_z.T, a_in)`` would not do: it keeps the -0.0
+    products that matmul's sum onto zero turns into +0.0.  The network
+    input's gradient is not computed.
     """
     t = np.atleast_2d(np.asarray(batch_targets, dtype=np.float64))
     if cache[0].shape[0] != t.shape[0]:
@@ -203,12 +217,16 @@ def backward_from_cache(
         d_z = d_a * (1.0 - a_out * a_out) if spec.activation == "tanh" else d_a
         w, _ = split_params(spec, weights[l])
         d_w, d_b = split_params(spec, out[l])
-        np.matmul(d_z.T, a_in, out=d_w)
+        if b == 1:
+            np.einsum("bo,bi->oi", d_z, a_in, out=d_w)
+        else:
+            np.matmul(d_z.T, a_in, out=d_w)
         np.sum(d_z, axis=0, out=d_b)
         # propagate before emitting: the callback may overwrite this layer's
         # weights (e.g. a freshly broadcast model lands), and d_a needs the
-        # values the forward pass used.
-        d_a = d_z @ w
+        # values the forward pass used.  Nothing reads the input's gradient.
+        if l > 0:
+            d_a = d_z @ w
         if on_layer is not None:
             on_layer(l, out[l])
     return list(out), loss

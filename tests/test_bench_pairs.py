@@ -42,6 +42,8 @@ class TestSummarize:
         assert rate["change"] == pytest.approx(0.2)
         assert rate["base_iqr"] == pytest.approx(0.02)
         assert rate["verdict"] == "-"  # 4 of 5 pairs is short of 9 in 10
+        # per-pair head/base: 1.2, 97/102, 121/98, 119/101, 122/99
+        assert rate["pair_ratio"] == pytest.approx((119 / 101, 1.2, 122 / 99))
         # lower is better: every pair won, by more than the base IQR (0)
         assert rows["rss"]["wins"] == 5
         assert rows["rss"]["verdict"] == "gain"
@@ -72,11 +74,24 @@ class TestSummarize:
         assert row["base_iqr"] > 0.25
         assert row["verdict"] == "unresolved"
 
+    def test_pair_ratios_follow_the_pairs_not_the_sides(self):
+        """A host that drifts during the set spreads each side's runs, and
+        the ratio within each pair stays tight."""
+        base = [run(rate=v) for v in (60, 80, 100, 120, 140)]
+        head = [run(rate=1.15 * v) for v in (60, 80, 100, 120, 140)]
+        row = rows_by_metric(base, head)["rate"]
+        assert row["base_iqr"] == pytest.approx(0.4)
+        assert row["pair_ratio"] == pytest.approx((1.15, 1.15, 1.15))
+        assert row["verdict"] == "unresolved"  # the ratios leave the rule alone
+
     def test_failed_runs_and_trials_are_left_out(self):
         base = [run(rate=100), None, run(rate=100, failed=1), run(rate=100, correct=False)]
         head = [run(rate=110), run(rate=110), run(rate=110), run(rate=110)]
         row = rows_by_metric(base, head)["rate"]
         assert (row["base_n"], row["head_n"], row["pairs"]) == (1, 4, 1)
+        assert row["pair_ratio"] == pytest.approx((1.1, 1.1, 1.1))
+        unpaired = rows_by_metric([run(rate=100), None], [None, run(rate=110)])["rate"]
+        assert unpaired["pairs"] == 0 and unpaired["pair_ratio"] is None
         assert rows_by_metric([None], head[:1])["rate"]["verdict"] == "no data"
 
     def test_format_has_one_line_per_metric(self):
@@ -84,6 +99,16 @@ class TestSummarize:
         lines = bench_pairs.format_rows(bench_pairs.summarize(base, [None] * 3, SPECS))
         assert len(lines) == 1 + len(SPECS)
         assert all("no data" in line for line in lines[1:])
+
+    def test_format_puts_the_pair_ratio_after_the_verdict(self):
+        base = [run(rate=v, rss=50.0) for v in (100, 100, 100, 100)]
+        head = [run(rate=v, rss=49.0) for v in (110, 120, 130, 140)]
+        header, rate, rss = bench_pairs.format_rows(bench_pairs.summarize(base, head, SPECS))
+        assert header.endswith("verdict    pair ratio median [q1, q3]")
+        assert rate.endswith("4/4   gain       1.2500 [1.1750, 1.3250]")
+        assert rss.endswith("4/4   gain       0.9800 [0.9800, 0.9800]")
+        no_pairs = bench_pairs.summarize([run(rate=100), None], [None, run(rate=110)], SPECS[:1])
+        assert bench_pairs.format_rows(no_pairs)[1].endswith("0/0   -          -")
 
 
 def test_environment_names_the_host():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipesgd import net
@@ -42,6 +42,27 @@ def _numerical_gradient(specs, weights, x, t, eps=1e-6):
             g[i] = (hi - lo) / (2 * eps)
         grads.append(g)
     return grads
+
+
+def _matmul_backward(specs, weights, cache, t):
+    """Per-layer flat gradients with every weight gradient taken as
+    ``np.matmul(d_z.T, a_in)``, whatever the batch size."""
+    d_a = (cache[-1] - t) / (specs[-1].out_dim * cache[0].shape[0])
+    grads = [None] * len(specs)
+    for l in range(len(specs) - 1, -1, -1):
+        spec = specs[l]
+        a_in, a_out = cache[l], cache[l + 1]
+        d_z = d_a * (1.0 - a_out * a_out) if spec.activation == "tanh" else d_a
+        w, _ = split_params(spec, weights[l])
+        grads[l] = np.concatenate([np.matmul(d_z.T, a_in).ravel(), np.sum(d_z, axis=0)])
+        d_a = d_z @ w
+    return grads
+
+
+def _signed_zeros(values, seed):
+    """``values`` with about a quarter of its entries +0.0 and a quarter -0.0."""
+    pick = np.random.default_rng(seed).random(values.shape)
+    return np.where(pick < 0.25, 0.0, np.where(pick < 0.5, -0.0, values))
 
 
 class TestSpecs:
@@ -234,6 +255,26 @@ class TestBackward:
         assert all(g is bufs[l] for l, g in emitted)
         assert all(a is b for a, b in zip(got, bufs))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(bufs, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=[256, 256, 2], seed=3)
+    def test_one_row_batch_matches_matmul_byte_for_byte(self, dims, seed):
+        """A one-row batch's gradients equal the ``np.matmul(d_z.T, a_in)``
+        formulation byte for byte, with +0.0 and -0.0 in the inputs and
+        targets: ``np.multiply(d_z.T, a_in)`` would keep the -0.0
+        products that matmul turns into +0.0."""
+        specs = specs_from_dims(dims)
+        model = init_model(seed, specs)
+        x = _signed_zeros(net.seeded_fill(seed ^ 1, dims[0], 1.0).reshape(1, dims[0]), seed)
+        t = _signed_zeros(net.seeded_fill(seed ^ 2, dims[-1], 1.0).reshape(1, dims[-1]), seed ^ 3)
+        _, cache = forward(specs, model.layers, x)
+        got, _ = backward_from_cache(specs, model.layers, cache, t)
+        want = _matmul_backward(specs, model.layers, cache, t)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     def test_out_buffers_must_match_the_layers(self):
         specs = specs_from_dims([3, 4, 2])

@@ -10,7 +10,11 @@ tcp-wide's ``setup_s`` has moved by several milliseconds with where a
 tree sits, and the alternation spreads that effect over both sides
 evenly.  The script prints for each end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the change of the
-median, how many pairs the head revision won, and a verdict:
+median, how many pairs the head revision won, a verdict, and next to it
+the median and quartiles of the per-pair ratio head/base.  The ratios
+inform but do not decide: a host that drifts during a set widens each
+side's spread, while both runs of one pair share its state.  The
+verdicts are:
 
   unresolved  the base runs' interquartile range, relative to their
               median, exceeds the metric's bound: the runs cannot tell a
@@ -96,6 +100,7 @@ def summarize(base_runs: list, head_runs: list, end_to_end: list[dict]) -> list[
         pairs = [(value(b), value(h)) for b, h in zip(base_runs, head_runs)]
         pairs = [(b, h) for b, h in pairs if b is not None and h is not None]
         wins = sum((h > b) if higher else (h < b) for b, h in pairs)
+        ratios = [h / b for b, h in pairs if b]
         change = (hmed - bmed) / bmed if bmed else 0.0
         iqr = (b3 - b1) / bmed if bmed else 0.0
         gain = change if higher else -change
@@ -108,22 +113,26 @@ def summarize(base_runs: list, head_runs: list, end_to_end: list[dict]) -> list[
         else:
             verdict = "-"
         row.update(base=(b1, bmed, b3), head=(h1, hmed, h3), change=change, base_iqr=iqr,
-                   wins=wins, pairs=len(pairs), verdict=verdict)
+                   wins=wins, pairs=len(pairs), verdict=verdict,
+                   pair_ratio=quartiles(ratios) if ratios else None)
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
     lines = [f"  {'metric':26} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}"
-             f" {'change':>8} {'base IQR':>8} {'won':>6}  verdict"]
+             f" {'change':>8} {'base IQR':>8} {'won':>6}  {'verdict':10}"
+             f" pair ratio median [q1, q3]"]
     for r in rows:
         if "base" not in r:
             lines.append(f"  {r['metric']:26} base runs {r['base_n']}, head runs {r['head_n']}:"
                          f" {r['verdict']}")
             continue
         cells = [f"{m:.5g} [{q1:.5g}, {q3:.5g}]" for q1, m, q3 in (r["base"], r["head"])]
+        ratio = "-" if r["pair_ratio"] is None else "{1:.4f} [{0:.4f}, {2:.4f}]".format(
+            *r["pair_ratio"])
         lines.append(
             f"  {r['metric']:26} {cells[0]:>32} {cells[1]:>32} {r['change']:+8.1%}"
-            f" {r['base_iqr']:8.1%} {r['wins']:>3}/{r['pairs']:<2}  {r['verdict']}"
+            f" {r['base_iqr']:8.1%} {r['wins']:>3}/{r['pairs']:<2}  {r['verdict']:10} {ratio}"
         )
     return lines
 
