@@ -7,9 +7,9 @@ gradient while earlier layers are still being differentiated.
 
 A one-row batch takes its weight gradients as exact outer products
 (``np.einsum``): ``np.matmul`` with inner dimension 1 skips BLAS for a
-slow generic loop, 102 against 35 microseconds for a 256x256 layer on a
-2-vCPU Intel Xeon host with NumPy 2.4.  Both sum one product onto zero, so the
-bytes are equal, signed zeros included.
+slow generic loop, about 100 against 35 microseconds for a 256x256
+layer on a 2-vCPU Intel Xeon host with NumPy 2.4.  Both sum one product
+onto zero, so the bytes are equal, signed zeros included.
 """
 
 from __future__ import annotations
